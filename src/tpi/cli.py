@@ -14,6 +14,7 @@ import sys
 
 from .errors import InvalidArgumentError, ResourceBudgetError
 from .experiments import load_config, load_run, render_report, run_experiment, run_generate
+from .rng import thread_count
 
 _KINDS_FOR = {
     "generate": ("generate",),
@@ -61,6 +62,7 @@ def cli(argv=None):
             _, report = load_run(args.run_dir)
             sys.stdout.write(render_report(report, args.format))
             return 0
+        thread_count(args.threads)
         config = load_config(args.config, seed=args.seed, out=args.out)
         expected = _KINDS_FOR[args.command]
         if config.kind not in expected:

@@ -1,6 +1,7 @@
 """Multi-start decomposition pipeline: power runs, clustering, evaluation.
 
-The pipeline runs power iteration from every initialization, then repeatedly
+The pipeline runs power iteration from all initializations at once, as one
+d x m block (one block contraction per step), then repeatedly
 (1) picks the surviving iterate maximizing |T(x, x, x)|, (2) refines it with a
 fixed number of extra power steps, (3) emits it sign-normalized so its cubic
 form is nonnegative, and (4) removes every survivor within correlation nu/2 of
@@ -15,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidArgumentError
 from .power import PowerConfig, default_max_iters, power_step, run_power
-from .tensors import FactoredTensor3, contract_scalar
+from .tensors import contract_1, contract_scalar
 
 # Optimal assignment is cubic; beyond this many columns fall back to greedy.
 _ASSIGNMENT_LIMIT = 2000
@@ -56,15 +57,6 @@ class DecompositionResult:
         return self.estimates.shape[1]
 
 
-def _cubic_scores(tensor, pool):
-    """|T(x,x,x)| for every row of pool; vectorized on factored tensors."""
-    if isinstance(tensor, FactoredTensor3) and tensor.is_symmetric:
-        return np.abs((pool @ tensor.components) ** 3 @ tensor.weights)
-    return np.abs(
-        np.array([contract_scalar(tensor, x, x, x) for x in pool])
-    )
-
-
 def decompose(tensor, inits, power_config=None, cluster_config=None):
     """Run the full multi-start + clustering pipeline.
 
@@ -75,9 +67,11 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
     power_config : PowerConfig for both the initial runs and refinement
     cluster_config : ClusterConfig (nu, refinement length, output cap)
     """
-    inits = [np.asarray(x, dtype=np.float64) for x in inits]
-    if len(inits) == 0:
+    starts = np.asarray(inits, dtype=np.float64)
+    if starts.size == 0:
         raise InvalidArgumentError("need at least one initialization")
+    if starts.ndim != 2 or starts.shape[1] != tensor.dim:
+        raise InvalidArgumentError(f"inits must be unit vectors of length {tensor.dim}")
     power_config = power_config or PowerConfig(trace_level="none")
     cluster_config = cluster_config or ClusterConfig()
     run_cfg = PowerConfig(
@@ -90,42 +84,43 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
     if refine_iters is None:
         refine_iters = run_cfg.max_iters or default_max_iters(tensor.dim)
 
-    pool = np.empty((len(inits), tensor.dim))
-    iter_counts = np.empty(len(inits), dtype=int)
-    for i, x0 in enumerate(inits):
-        trace = run_power(tensor, x0, run_cfg)
-        pool[i] = trace.final_x
-        iter_counts[i] = len(trace) - 1
+    trace = run_power(tensor, starts.T, run_cfg)
+    X = trace.final_x
 
     half_nu = cluster_config.nu / 2.0
-    cap = cluster_config.max_components or len(inits)
-    alive = np.ones(len(inits), dtype=bool)
+    cap = cluster_config.max_components or len(starts)
+    alive = np.ones(len(starts), dtype=bool)
     estimates, weights, sizes = [], [], []
     sel_scores, refine_paths = [], []
     duplicates_dropped = 0
     refine_monotone_violations = 0
 
-    scores = _cubic_scores(tensor, pool)
+    # |T(x, x, x)| of every pool member, from one block contraction
+    scores = np.abs(np.einsum("ij,ij->j", X, contract_1(tensor, X, X)))
     while alive.any() and len(estimates) < cap:
         idx = int(np.argmax(np.where(alive, scores, -np.inf)))
-        x = pool[idx].copy()
-        path = [float(contract_scalar(tensor, x, x, x))]
+        x = X[:, idx].copy()
+        # T(x, x, x) = <x, T(I, x, x)> = ||T(I, x, x)|| <x, x_next>
+        path = []
         for _ in range(refine_iters):
-            x, _n = power_step(tensor, x)
-            path.append(float(contract_scalar(tensor, x, x, x)))
+            x_next, nrm = power_step(tensor, x)
+            path.append(nrm * float(x @ x_next))
+            x = x_next
+        score = contract_scalar(tensor, x, x, x)
+        path.append(score)
         if abs(path[-1]) < abs(path[0]) - 1e-9:
             refine_monotone_violations += 1
-        if path[-1] < 0:
+        if score < 0:
             x = -x
         # emission cluster: everything the refined estimate would collide with
-        cluster = alive & (np.abs(pool @ x) > half_nu)
+        cluster = alive & (np.abs(x @ X) > half_nu)
         cluster[idx] = True
         is_dup = any(abs(float(x @ e)) > half_nu for e in estimates)
         if is_dup:
             duplicates_dropped += 1
         else:
             estimates.append(x)
-            weights.append(float(contract_scalar(tensor, x, x, x)))
+            weights.append(abs(score))  # T(-x, -x, -x) = -T(x, x, x) exactly
             sizes.append(int(cluster.sum()))
             sel_scores.append(float(scores[idx]))
             refine_paths.append(path)
@@ -144,7 +139,7 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
         diagnostics={
             "selection_scores": np.array(sel_scores),
             "refine_score_paths": refine_paths,
-            "init_iterations": iter_counts,
+            "init_iterations": trace.iterations,
             "duplicates_dropped": duplicates_dropped,
             "refine_monotone_violations": refine_monotone_violations,
         },

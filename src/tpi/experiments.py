@@ -302,9 +302,20 @@ class RunReport:
         if path is None:
             return doc
         with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(_strict_json(doc), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return doc
+
+
+def _strict_json(value):
+    """Replace NaN and +-inf, which JSON cannot hold, by None (``null``)."""
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _fmt_cell(value):
@@ -953,7 +964,8 @@ def render_report(report, fmt="csv"):
         elif isinstance(value, (list, tuple)):
             lines.append(f"{prefix},{json.dumps(value)}")
         else:
-            lines.append(f"{prefix},{_fmt_cell(value)}")
+            # report.json stores NaN and +-inf as null
+            lines.append(f"{prefix},{_fmt_cell(float('nan') if value is None else value)}")
 
     emit("", report["aggregates"])
     return "\n".join(lines) + "\n"

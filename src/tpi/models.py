@@ -28,6 +28,10 @@ from .rng import stream
 from .tensors import DENSE_DIM_LIMIT, DenseTensor3, FactoredTensor3
 
 _CHUNK = 65536  # fixed accumulation chunk so summation order never varies
+# Sample chunk of SampleTensor3.contract_1.  It bounds the temporaries at
+# 1024 x m, and it keeps each BLAS sum short: OpenBLAS splits a 20000-sample
+# vector product across its threads, so the bytes depended on their count.
+_SAMPLE_CHUNK = 1024
 
 
 def _check_simplex(priors, k):
@@ -217,7 +221,9 @@ class SampleTensor3:
 
     T(I, v, w) = (1/n) sum_i <z2_i, v> <z3_i, w> z1_i, computed in O(dn).
     Satisfies the same contraction protocol the power engine uses, so the
-    overcomplete pipeline can run straight off samples.
+    overcomplete pipeline can run straight off samples.  The sum runs over
+    fixed chunks of ``_SAMPLE_CHUNK`` samples, for a vector pair and for a
+    d x m block pair alike.
     """
 
     def __init__(self, batch):
@@ -231,8 +237,11 @@ class SampleTensor3:
         return self._Z1.shape[0]
 
     def contract_1(self, v, w):
-        coeff = (self._Z2.T @ v) * (self._Z3.T @ w)
-        return self._Z1 @ coeff / self._n
+        acc = np.zeros(np.shape(v))
+        for lo in range(0, self._n, _SAMPLE_CHUNK):
+            s = slice(lo, lo + _SAMPLE_CHUNK)
+            acc += self._Z1[:, s] @ ((self._Z2[:, s].T @ v) * (self._Z3[:, s].T @ w))
+        return acc / self._n
 
 
 def _sigma_correction(mean_vec, sigma):

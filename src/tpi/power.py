@@ -7,7 +7,9 @@ The basic update is
 which, for a factored tensor with component matrix A and unit weights, is the
 O(dk) map ``x <- A (A^T x)^{*2} / ||.||`` (elementwise square).  The engine
 records per-step scalars (and optionally the full iterate and its factored
-intermediates) so dynamics can be analyzed offline.
+intermediates) so dynamics can be analyzed offline.  ``run_power`` also takes
+a d x m block of starts and advances them together, one block contraction per
+step.
 
 Overcomplete caveat: when k > d the true components are close to, but not
 exactly, fixed points of this map.  At small d the iterates typically climb
@@ -141,19 +143,27 @@ class IterationTrace:
                 )
 
 
+def _norms(v):
+    """Euclidean norm of a vector, or the column norms of a d x m block."""
+    return float(np.linalg.norm(v)) if v.ndim == 1 else np.linalg.norm(v, axis=0)
+
+
 def _check_unit(x, tol=1e-8):
     x = np.asarray(x, dtype=np.float64)
-    if abs(float(np.linalg.norm(x)) - 1.0) > tol:
+    if np.any(np.abs(_norms(x) - 1.0) > tol):
         raise InvalidArgumentError("iterate must be unit norm")
     return x
 
 
 def power_step(tensor, x):
-    """One update: returns (T(I,x,x)/||T(I,x,x)||, ||T(I,x,x)||)."""
+    """One update: returns (T(I,x,x)/||T(I,x,x)||, ||T(I,x,x)||).
+
+    A d x m block x steps every column and returns the m norms as an array.
+    """
     x = _check_unit(x)
     v = contract_1(tensor, x, x)
-    nrm = float(np.linalg.norm(v))
-    if nrm < 1e-300:
+    nrm = _norms(v)
+    if np.any(nrm < 1e-300):
         raise DegenerateIterateError("T(I, x, x) vanished; caller owns the restart policy")
     return v / nrm, nrm
 
@@ -180,33 +190,58 @@ def run_power(tensor, x0, config=None, ground_truth=None):
     Stops early when the tracked correlation reaches 1 - gamma, or when
     successive iterates agree up to sign to 1e-12 (a fixed point).  Always
     runs at most ``max_iters`` updates.
+
+    A d x m block x0 runs m starts at once: each step is one block
+    contraction over the columns still moving, and each column stops on its
+    own fixed point or at ``max_iters``.  ``trace.iterations`` and
+    ``trace.stop_reasons`` hold the per-column counts and reasons,
+    ``trace.final_x`` the d x m block of final iterates, ``len(trace)`` the
+    block steps plus one, and ``trace.stop_reason`` is "fixed-point" only
+    when every column reached one.  Block runs need trace_level "none" and
+    no track_target.
     """
     config = config or PowerConfig()
     x = _check_unit(x0).copy()
+    block = x.ndim == 2
+    if block and (config.trace_level != "none" or config.track_target is not None):
+        raise InvalidArgumentError("a block of starts needs trace_level 'none' and no track_target")
     n_iters = config.max_iters or default_max_iters(tensor.dim)
     target = _target_column(ground_truth, config, "a")
     corr = float(x @ target) if target is not None else float("nan")
 
     trace = IterationTrace(config.trace_level)
     trace._append(x, float("nan"), corr, 0.0, tensor)
-    count = 1
+    m = x.shape[1] if block else 1
+    iterations = np.zeros(m, dtype=int)
+    reasons = ["max-iters"] * m
+    active = np.arange(m)
     if target is not None and abs(corr) >= 1.0 - config.convergence_gamma:
-        trace.stop_reason = "target-correlation"
-        trace._n = count
-        return trace
+        reasons[0] = "target-correlation"
+        active = active[:0]
     for _ in range(n_iters):
-        x_prev = x
-        x, unnorm = power_step(tensor, x)
-        corr = float(x @ target) if target is not None else float("nan")
-        trace._append(x, unnorm, corr, 0.0, tensor)
-        count += 1
-        if target is not None and abs(corr) >= 1.0 - config.convergence_gamma:
-            trace.stop_reason = "target-correlation"
+        if active.size == 0:
             break
-        if min(np.linalg.norm(x - x_prev), np.linalg.norm(x + x_prev)) < 1e-12:
-            trace.stop_reason = "fixed-point"
-            break
-    trace._n = count
+        x_prev = x[:, active] if block else x
+        x_next, unnorm = power_step(tensor, x_prev)
+        iterations[active] += 1
+        if block:
+            x[:, active] = x_next
+        else:
+            x = x_next
+            corr = float(x @ target) if target is not None else float("nan")
+            trace._append(x, unnorm, corr, 0.0, tensor)
+            if target is not None and abs(corr) >= 1.0 - config.convergence_gamma:
+                reasons[0] = "target-correlation"
+                break
+        moved = np.minimum(_norms(x_next - x_prev), _norms(x_next + x_prev))
+        fixed = np.atleast_1d(moved < 1e-12)
+        for j in active[fixed]:
+            reasons[j] = "fixed-point"
+        active = active[~fixed]
+    trace.iterations = iterations
+    trace.stop_reasons = reasons
+    trace.stop_reason = "max-iters" if "max-iters" in reasons else reasons[0]
+    trace._n = 1 + int(iterations.max())
     return trace
 
 

@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 
 def stream(seed, *path):
     """Return a ``numpy.random.Generator`` for an integer seed and path.
@@ -29,11 +31,15 @@ def stream(seed, *path):
 
 
 def thread_count(explicit=None):
-    """Resolve the worker count: explicit argument, else TPI_THREADS, else 1."""
-    if explicit is not None:
-        n = int(explicit)
-    else:
-        n = int(os.environ.get("TPI_THREADS", "1"))
+    """Resolve the worker count: explicit argument, else TPI_THREADS, else 1.
+
+    A count that is not an integer >= 1 raises ``InvalidArgumentError``.
+    """
+    raw = explicit if explicit is not None else os.environ.get("TPI_THREADS", "1")
+    try:
+        n = int(raw)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"thread count must be an integer, got {raw!r}") from None
     if n < 1:
-        raise ValueError("thread count must be >= 1")
+        raise InvalidArgumentError(f"thread count must be >= 1, got {n}")
     return n

@@ -14,6 +14,8 @@ The mode-1 contraction ``T(I, v, w)`` is the workhorse: for the factored form
     T(I, v, w) = sum_j w_j <b_j, v> <c_j, w> a_j
 
 and for the dense form the explicit double sum over the trailing two indices.
+Given d x m blocks V and W it returns the d x m block of T(I, v_j, w_j), one
+BLAS-3 product instead of m vector products.
 """
 
 import numpy as np
@@ -23,6 +25,13 @@ from .rng import stream
 
 # Densifying a tensor costs d**3 floats; refuse beyond this edge length.
 DENSE_DIM_LIMIT = 256
+
+# Block contractions run on C-ordered copies padded to a multiple of this
+# width.  OpenBLAS rounds a column differently depending on the block's memory
+# order, its width and where the thread split falls; on C-ordered widths that
+# are multiples of 32 a column comes out the same in any block and for 1-4
+# BLAS threads (OpenBLAS 0.3.31, SkylakeX kernels).
+_BLOCK_ALIGN = 32
 
 
 def _as_unit_columns(M, name, tol=1e-10):
@@ -133,8 +142,7 @@ class PerturbedTensor:
 
     ``noise_spectral_norm`` caches a multi-restart power-iteration estimate of
     the perturbation's spectral norm (a lower bound; see
-    ``spectral_norm_estimate``).  ``verify_noise_norm`` recomputes it fresh and
-    reports whether the cache is within 10%.
+    ``spectral_norm_estimate``).
     """
 
     def __init__(self, signal, noise, noise_spectral_norm=None, seed=0):
@@ -154,18 +162,39 @@ class PerturbedTensor:
     def dim(self):
         return self.signal.dim
 
-    def verify_noise_norm(self, seed=0, restarts=8, iters=20):
-        fresh = spectral_norm_estimate(self.noise, restarts=restarts, iters=iters, seed=seed)
-        ref = max(fresh, 1e-300)
-        ok = abs(self.noise_spectral_norm - fresh) <= 0.1 * ref
-        return self.noise_spectral_norm, fresh, ok
-
 
 def _check_probe(tensor, v, name):
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (tensor.dim,):
-        raise InvalidArgumentError(f"{name} must have length {tensor.dim}, got shape {v.shape}")
+    if v.shape[:1] != (tensor.dim,) or v.ndim > 2 or v.size == 0:
+        raise InvalidArgumentError(
+            f"{name} must have length {tensor.dim} or be a {tensor.dim} x m block, "
+            f"got shape {v.shape}")
     return v
+
+
+def _contract_1(tensor, v, w):
+    if isinstance(tensor, FactoredTensor3):
+        pb = tensor.components_b.T @ v
+        pc = tensor.components_c.T @ w
+        weights = tensor.weights if v.ndim == 1 else tensor.weights[:, None]
+        return tensor.components @ (weights * pb * pc)
+    if isinstance(tensor, DenseTensor3):
+        d = tensor.dim
+        if v.ndim == 1:
+            return tensor.entries.reshape(d, d * d) @ np.outer(v, w).ravel()
+        # the d x d^2 unfolding times the Khatri-Rao block, summed slab by
+        # slab in a fixed order: one d^2-long BLAS sum would round
+        # differently for different BLAS thread counts
+        out = np.zeros(v.shape)
+        for j in range(d):
+            out += tensor.entries[:, j, :] @ (v[j] * w)
+        return out
+    if isinstance(tensor, PerturbedTensor):
+        return contract_1(tensor.signal, v, w) + contract_1(tensor.noise, v, w)
+    # duck-typed implicit representations (e.g. sample-sum tensors)
+    if hasattr(tensor, "contract_1"):
+        return tensor.contract_1(v, w)
+    raise InvalidArgumentError(f"unsupported tensor type {type(tensor).__name__}")
 
 
 def contract_1(tensor, v, w):
@@ -173,21 +202,23 @@ def contract_1(tensor, v, w):
 
     Factored path is O(dk); dense path is the explicit double sum, O(d^3).
     ``PerturbedTensor`` contracts signal and noise separately and sums.
+
+    With d x m blocks ``v`` and ``w`` it returns the d x m block whose column
+    j is T(I, v_j, w_j).  The block runs as a C-ordered copy zero-padded to a
+    multiple of ``_BLOCK_ALIGN`` columns, so that a column's bytes do not
+    depend on the other columns or on the BLAS thread count.
     """
     v = _check_probe(tensor, v, "v")
     w = _check_probe(tensor, w, "w")
-    if isinstance(tensor, FactoredTensor3):
-        coeff = tensor.weights * (tensor.components_b.T @ v) * (tensor.components_c.T @ w)
-        return tensor.components @ coeff
-    if isinstance(tensor, DenseTensor3):
-        d = tensor.dim
-        return tensor.entries.reshape(d, d * d) @ np.outer(v, w).ravel()
-    if isinstance(tensor, PerturbedTensor):
-        return contract_1(tensor.signal, v, w) + contract_1(tensor.noise, v, w)
-    # duck-typed implicit representations (e.g. sample-sum tensors)
-    if hasattr(tensor, "contract_1"):
-        return tensor.contract_1(v, w)
-    raise InvalidArgumentError(f"unsupported tensor type {type(tensor).__name__}")
+    if v.shape != w.shape:
+        raise InvalidArgumentError(f"v and w shapes differ: {v.shape} vs {w.shape}")
+    if v.ndim == 1:
+        return _contract_1(tensor, v, w)
+    d, m = v.shape
+    width = -(-m // _BLOCK_ALIGN) * _BLOCK_ALIGN
+    vp, wp = np.zeros((d, width)), np.zeros((d, width))
+    vp[:, :m], wp[:, :m] = v, w
+    return _contract_1(tensor, vp, wp)[:, :m]
 
 
 def contract_scalar(tensor, u, v, w):

@@ -127,3 +127,20 @@ def test_invalid_config_json_exits_two(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     assert cli(["dynamics", "--config", str(p)]) == 2
+
+
+def test_zero_threads_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, "dyn.json", DYN)
+    rc = cli(["dynamics", "--config", cfg, "--threads", "0",
+              "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "thread count" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_integer_thread_variable_exits_two(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, "dyn.json", DYN)
+    monkeypatch.setenv("TPI_THREADS", "abc")
+    rc = cli(["dynamics", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "'abc'" in capsys.readouterr().err

@@ -1,0 +1,56 @@
+"""Byte-identical artifacts of a multi-seed multiview recovery run, across
+worker counts and across BLAS thread counts.
+
+The run has accept5's shape (d=50, k=100, n=20000, implicit samples) on
+three seeds, so a pool of two workers splits it, and its long sample sums
+are where a BLAS library would split a reduction across its threads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from tpi.experiments import load_config, run_experiment
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+MULTIVIEW = {
+    "schema": 1, "kind": "recovery", "seeds": {"count": 3, "base": 0},
+    "d": 50, "k": 100, "source": "multiview",
+    "snr_target": 0.88725458197698825, "n": 20000, "inits": 60,
+    "tensor_mode": "implicit-samples",
+}
+
+
+def _artifacts(out):
+    """table.csv bytes and report.json less its wall-clock time."""
+    report = json.loads((out / "report.json").read_text())
+    report.pop("wall_clock_s")
+    report.pop("out_dir")
+    return (out / "table.csv").read_bytes(), report
+
+
+def test_multiview_artifacts_identical_across_worker_counts(tmp_path):
+    for threads in (1, 2):
+        config = load_config(MULTIVIEW, out=str(tmp_path / f"w{threads}"))
+        run_experiment(config, threads=threads)
+    assert _artifacts(tmp_path / "w1") == _artifacts(tmp_path / "w2")
+
+
+def test_multiview_artifacts_identical_across_blas_threads(tmp_path):
+    cfg = tmp_path / "multiview.json"
+    cfg.write_text(json.dumps(MULTIVIEW))
+    procs = []
+    for blas in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas), TPI_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        cmd = [sys.executable, "-m", "tpi.cli", "decompose", "--config", str(cfg),
+               "--out", str(tmp_path / f"blas{blas}")]
+        procs.append(subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                                      stderr=subprocess.PIPE))
+    for proc in procs:
+        _out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode()
+    assert _artifacts(tmp_path / "blas1") == _artifacts(tmp_path / "blas2")

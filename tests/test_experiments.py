@@ -224,3 +224,22 @@ def test_noise_sweep_csv_has_factor_and_xi(tmp_path):
     lines = (tmp_path / "ns" / "table.csv").read_text().strip().split("\n")
     assert lines[1] == "factor,seed,iteration,correlation,xi_norm"
     assert set(rep.aggregates["by_factor"]) == {"0.01", "0.05"}
+
+
+def test_report_json_is_strict_and_renders_null_as_nan(tmp_path):
+    cfg = {
+        "schema": 1, "kind": "recovery", "out": str(tmp_path / "mv"),
+        "seeds": {"count": 2, "base": 0}, "d": 6, "k": 8, "source": "multiview",
+        "zeta": 0.05, "n": 300, "inits": 10, "tensor_mode": "implicit-samples",
+    }
+    run_experiment(cfg)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "mv" / "report.json").read_text()
+    report = json.loads(text, parse_constant=reject)
+    assert [s["weight_max_err"] for s in report["per_seed"]] == [None, None]
+    _, stored = load_run(str(tmp_path / "mv"))
+    stored["aggregates"]["frobenius_error"]["iqr"] = None
+    assert "frobenius_error.iqr,nan\n" in render_report(stored, "csv")

@@ -126,6 +126,55 @@ def test_trace_shape_and_stop_reasons():
     assert trace.final_x is not None
 
 
+def test_block_run_matches_per_column_runs():
+    # starts at increasing distance from a component converge in more steps;
+    # the random starts run out of budget
+    d = 10
+    A = orthonormal(d, d, 6)
+    T = FactoredTensor3(A, np.linspace(1.0, 2.0, d))
+    rng = stream(6, 57)
+    starts = [A[:, 0]]
+    for j, noise in enumerate((1e-4, 1e-2, 0.3), start=1):
+        starts.append(A[:, j] + noise * rng.standard_normal(d))
+    starts += [rng.standard_normal(d) for _ in range(2)]
+    X0 = np.column_stack([x / np.linalg.norm(x) for x in starts])
+    cfg = PowerConfig(max_iters=4, trace_level="none")
+
+    block = run_power(T, X0, cfg)
+    singles = [run_power(T, X0[:, j], cfg) for j in range(X0.shape[1])]
+    assert list(block.iterations) == [len(t) - 1 for t in singles]
+    assert block.stop_reasons == [t.stop_reason for t in singles]
+    assert len(set(block.iterations)) >= 3
+    assert {"fixed-point", "max-iters"} <= set(block.stop_reasons)
+    assert block.stop_reason == "max-iters"
+    assert len(block) == max(block.iterations) + 1
+    for j, t in enumerate(singles):
+        assert np.max(np.abs(block.final_x[:, j] - t.final_x)) < 1e-12
+
+    converged = run_power(T, X0[:, :3], cfg)
+    assert converged.stop_reason == "fixed-point"
+    assert np.array_equal(converged.final_x, block.final_x[:, :3])
+
+
+def test_block_run_checks_its_columns():
+    A = orthonormal(4, 4, 7)
+    T = FactoredTensor3(A, np.ones(4))
+    cfg = PowerConfig(max_iters=3, trace_level="none")
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, np.column_stack([A[:, 0], 2.0 * A[:, 1]]), cfg)
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, A[:, :2], PowerConfig(max_iters=3))
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, A[:, :2], PowerConfig(max_iters=3, trace_level="none", track_target=0),
+                  ground_truth=T)
+    # odd tensor: T(I, x, x) = 0 at x = e_2 when the single component is e_1
+    a = np.zeros(4)
+    a[0] = 1.0
+    odd = FactoredTensor3(a[:, None], np.ones(1))
+    with pytest.raises(DegenerateIterateError):
+        run_power(odd, np.eye(4)[:, :2], cfg)
+
+
 def test_full_trace_records_iterates():
     A = random_components(7, 11, seed=5)
     T = FactoredTensor3(A, np.ones(11))

@@ -178,3 +178,72 @@ def test_weight_ratio_and_symmetry_flags():
     B = random_components(6, 4, seed=10)
     T2 = FactoredTensor3(A, lam, B, B)
     assert not T2.is_symmetric
+
+
+def _block_representations():
+    """One tensor of every representation at d = 7; the sample tensor has
+    n = 2500 so its contraction crosses two chunk boundaries."""
+    from tpi.models import MixtureModel, SampleTensor3, sample_multiview
+
+    d, k = 7, 12
+    rng = stream(24, 1)
+    A = random_components(d, k, seed=3)
+    sym = FactoredTensor3(A, rng.uniform(0.5, 2.0, k))
+    asym = FactoredTensor3(A, np.ones(k), random_components(d, k, seed=4),
+                           random_components(d, k, seed=5))
+    noise = symmetrize(rng.standard_normal((d, d, d)))
+    model = MixtureModel(A, np.full(k, 1.0 / k), noise_scale=0.1)
+    samples = SampleTensor3(sample_multiview(model, 2500, seed=24))
+    return {"factored": sym, "asymmetric": asym, "dense": densify(sym),
+            "perturbed": PerturbedTensor(sym, noise, noise_spectral_norm=1.0),
+            "samples": samples}
+
+
+@pytest.mark.parametrize("m", [1, 5, 40])
+def test_block_contraction_matches_per_column(m):
+    rng = stream(25, m)
+    for name, T in _block_representations().items():
+        V = rng.standard_normal((T.dim, m))
+        W = rng.standard_normal((T.dim, m))
+        block = contract_1(T, V, W)
+        assert block.shape == (T.dim, m), name
+        cols = np.column_stack([contract_1(T, V[:, j], W[:, j]) for j in range(m)])
+        assert np.max(np.abs(block - cols)) < 1e-12, name
+
+
+def test_block_column_does_not_depend_on_its_neighbours():
+    rng = stream(26, 1)
+    for name, T in _block_representations().items():
+        V = rng.standard_normal((T.dim, 9))
+        W = rng.standard_normal((T.dim, 9))
+        ref = contract_1(T, V, W)
+        others = rng.standard_normal((T.dim, 70))
+        for cols in ([4], [2, 4], [8, 0, 3]):
+            alone = contract_1(T, V[:, cols], W[:, cols])
+            assert np.array_equal(alone, ref[:, cols]), (name, cols)
+        mixed = contract_1(T, np.column_stack([others, V[:, 4]]),
+                           np.column_stack([others, W[:, 4]]))
+        assert np.array_equal(mixed[:, -1], ref[:, 4]), name
+
+
+def test_vector_contraction_keeps_its_formula():
+    rng = stream(27, 1)
+    T = _block_representations()["asymmetric"]
+    v, w = rng.standard_normal(T.dim), rng.standard_normal(T.dim)
+    coeff = T.weights * (T.components_b.T @ v) * (T.components_c.T @ w)
+    assert np.array_equal(contract_1(T, v, w), T.components @ coeff)
+    D = densify(T)
+    d = D.dim
+    assert np.array_equal(contract_1(D, v, w),
+                          D.entries.reshape(d, d * d) @ np.outer(v, w).ravel())
+
+
+def test_block_probe_shapes_checked():
+    T = _block_representations()["factored"]
+    V = np.ones((T.dim, 3))
+    with pytest.raises(InvalidArgumentError):
+        contract_1(T, V, V[:, :2])
+    with pytest.raises(InvalidArgumentError):
+        contract_1(T, V[:-1], V[:-1])
+    with pytest.raises(InvalidArgumentError):
+        contract_1(T, np.ones((T.dim, 0)), np.ones((T.dim, 0)))
