@@ -70,7 +70,7 @@ def cli(argv=None):
                 f"'tpi {args.command}' takes a {' or '.join(expected)} "
                 f"config, got kind {config.kind!r}")
         if args.command == "generate":
-            manifest = run_generate(config, threads=args.threads)
+            manifest = run_generate(config)
             sys.stdout.write(
                 f"generated {manifest['what']} in {config.out} "
                 f"(config_hash={manifest['config_hash'][:12]})\n")

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,7 @@ from .probes import (
     check_mixed_norm_bound,
     quadratic_progress_ok,
 )
-from .rng import stream, thread_count
+from .rng import map_in_order as _map_seeds, stream
 from .tensors import FactoredTensor3, PerturbedTensor, densify, random_components, scale_noise_to, symmetrize
 from .container import save_tensor
 
@@ -172,6 +171,9 @@ def _validate(raw):
             cfg.setdefault("inits", "columns+noise")
             cfg.setdefault("init_noise", 0.3)
     elif kind in ("dynamics", "noise-sweep"):
+        if int(cfg["d"]) < 2:
+            # a start correlation below 1 needs a direction orthogonal to a_1
+            raise InvalidArgumentError(f"{kind} needs d >= 2")
         lohi = cfg["init_correlation"]
         if (not isinstance(lohi, (list, tuple)) or len(lohi) != 2
                 or not 0 < lohi[0] <= lohi[1] < 1):
@@ -340,14 +342,6 @@ def _write_jsonl(path, rows):
     with open(path, "w", newline="\n") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _map_seeds(worker, count, threads=None):
-    workers = thread_count(threads)
-    if workers <= 1 or count <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
 
 
 def _median_iqr(values):
@@ -885,7 +879,7 @@ def run_experiment(config, threads=None):
     return report
 
 
-def run_generate(config, threads=None):
+def run_generate(config):
     """Materialize a tensor or a multiview sample batch described by a
     generate config; returns the artifact manifest."""
     if isinstance(config, (str, os.PathLike, dict)):

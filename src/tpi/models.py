@@ -56,13 +56,11 @@ class MixtureModel:
     """Multiview mixture parameters.
 
     ``factor`` is a single d x k matrix, or a tuple of three matrices for the
-    asymmetric variant (one per view; requires views == 3).  ``noise_kind``
-    is "spherical-gaussian" (per-entry std ``noise_scale``) or "custom" with
-    a ``noise_sampler(rng, d, n) -> (d, n) array`` callable.
+    asymmetric variant (one per view; requires views == 3).  Each view adds
+    spherical Gaussian noise with per-entry std ``noise_scale``.
     """
 
-    def __init__(self, factor, priors, noise_scale=0.0, noise_kind="spherical-gaussian",
-                 views=3, noise_sampler=None):
+    def __init__(self, factor, priors, noise_scale=0.0, views=3):
         if isinstance(factor, (tuple, list)):
             if len(factor) != 3:
                 raise InvalidArgumentError("asymmetric variant needs exactly three matrices")
@@ -78,15 +76,9 @@ class MixtureModel:
         self.views = int(views)
         d, k = self.factors[0].shape
         self.priors = _check_simplex(priors, k)
-        if noise_kind not in ("spherical-gaussian", "custom"):
-            raise InvalidArgumentError(f"unknown noise_kind {noise_kind!r}")
-        if noise_kind == "custom" and noise_sampler is None:
-            raise InvalidArgumentError("custom noise needs a noise_sampler callable")
         if noise_scale < 0:
             raise InvalidArgumentError("noise_scale must be >= 0")
-        self.noise_kind = noise_kind
         self.noise_scale = float(noise_scale)
-        self.noise_sampler = noise_sampler
         self.dim = d
         self.rank = k
 
@@ -171,11 +163,8 @@ def sample_multiview(model, n, seed):
     views = []
     for l in range(model.views):
         Z = model.factor_for_view(l)[:, h].copy()
-        if model.noise_kind == "spherical-gaussian":
-            if model.noise_scale > 0:
-                Z += model.noise_scale * rng.standard_normal((model.dim, n))
-        else:
-            Z += model.noise_sampler(rng, model.dim, n)
+        if model.noise_scale > 0:
+            Z += model.noise_scale * rng.standard_normal((model.dim, n))
         views.append(Z)
     return SampleBatch(views, labels=h)
 

@@ -20,7 +20,7 @@ correlations, not assumed.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,9 +77,11 @@ class IterationTrace:
         self.ws = []
         self.final_x = None
         self.stop_reason = "max-iters"
+        self._n = 0
 
     def _append(self, x, unnorm, corr, xi_norm, tensor):
         self.final_x = x
+        self._n += 1
         if self.trace_level == "none":
             return
         self.unnormalized_norms.append(unnorm)
@@ -93,9 +95,7 @@ class IterationTrace:
                 self.ws.append(y[1:] ** 2)
 
     def __len__(self):
-        if self.trace_level == "none":
-            return self._n
-        return len(self.target_correlations)
+        return self._n
 
     @property
     def correlations(self):
@@ -149,10 +149,24 @@ def _norms(v):
 
 
 def _check_unit(x, tol=1e-8):
+    """x as float64; raises unless every column has unit norm (NaN fails)."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(_norms(x) - 1.0) > tol):
+    if not np.all(np.abs(_norms(x) - 1.0) <= tol):
         raise InvalidArgumentError("iterate must be unit norm")
     return x
+
+
+def _normalize(v, what):
+    """(v / ||v||, ||v||), per column for a block; a vanishing norm raises."""
+    nrm = _norms(v)
+    if np.any(nrm < 1e-300):
+        raise DegenerateIterateError(f"{what} vanished; caller owns the restart policy")
+    return v / nrm, nrm
+
+
+def _fixed_point(x_next, x_prev):
+    """Whether the iterate (each column of a block) is back where it was, up to sign."""
+    return np.minimum(_norms(x_next - x_prev), _norms(x_next + x_prev)) < 1e-12
 
 
 def power_step(tensor, x):
@@ -161,14 +175,10 @@ def power_step(tensor, x):
     A d x m block x steps every column and returns the m norms as an array.
     """
     x = _check_unit(x)
-    v = contract_1(tensor, x, x)
-    nrm = _norms(v)
-    if np.any(nrm < 1e-300):
-        raise DegenerateIterateError("T(I, x, x) vanished; caller owns the restart policy")
-    return v / nrm, nrm
+    return _normalize(contract_1(tensor, x, x), "T(I, x, x)")
 
 
-def _target_column(ground_truth, config, mode="a"):
+def _target_column(ground_truth, config, matrix="components"):
     if config.track_target is None:
         return None
     if ground_truth is None:
@@ -176,19 +186,14 @@ def _target_column(ground_truth, config, mode="a"):
     j = config.track_target
     if not (0 <= j < ground_truth.rank):
         raise InvalidArgumentError("track_target out of range")
-    mats = {
-        "a": ground_truth.components,
-        "b": ground_truth.components_b,
-        "c": ground_truth.components_c,
-    }
-    return mats[mode][:, j]
+    return getattr(ground_truth, matrix)[:, j]
 
 
 def run_power(tensor, x0, config=None, ground_truth=None):
     """Iterate power updates from x0, recording a trace.
 
     Stops early when the tracked correlation reaches 1 - gamma, or when
-    successive iterates agree up to sign to 1e-12 (a fixed point).  Always
+    successive iterates agree up to sign (a fixed point).  Always
     runs at most ``max_iters`` updates.
 
     A d x m block x0 runs m starts at once: each step is one block
@@ -206,7 +211,7 @@ def run_power(tensor, x0, config=None, ground_truth=None):
     if block and (config.trace_level != "none" or config.track_target is not None):
         raise InvalidArgumentError("a block of starts needs trace_level 'none' and no track_target")
     n_iters = config.max_iters or default_max_iters(tensor.dim)
-    target = _target_column(ground_truth, config, "a")
+    target = _target_column(ground_truth, config)
     corr = float(x @ target) if target is not None else float("nan")
 
     trace = IterationTrace(config.trace_level)
@@ -233,8 +238,7 @@ def run_power(tensor, x0, config=None, ground_truth=None):
             if target is not None and abs(corr) >= 1.0 - config.convergence_gamma:
                 reasons[0] = "target-correlation"
                 break
-        moved = np.minimum(_norms(x_next - x_prev), _norms(x_next + x_prev))
-        fixed = np.atleast_1d(moved < 1e-12)
+        fixed = np.atleast_1d(_fixed_point(x_next, x_prev))
         for j in active[fixed]:
             reasons[j] = "fixed-point"
         active = active[~fixed]
@@ -245,17 +249,6 @@ def run_power(tensor, x0, config=None, ground_truth=None):
     return trace
 
 
-def _mode_contractions(t, x1, x2, x3):
-    """All three one-mode-open contractions, each from the same (x1, x2, x3)."""
-    pa = t.components.T @ x1
-    pb = t.components_b.T @ x2
-    pc = t.components_c.T @ x3
-    v1 = t.components @ (t.weights * pb * pc)
-    v2 = t.components_b @ (t.weights * pa * pc)
-    v3 = t.components_c @ (t.weights * pa * pb)
-    return v1, v2, v3
-
-
 def run_power_asymmetric(tensor, x0, y0, z0, config=None, ground_truth=None):
     """Three-vector power iteration for per-mode component matrices.
 
@@ -263,46 +256,39 @@ def run_power_asymmetric(tensor, x0, y0, z0, config=None, ground_truth=None):
     x3 <- T(x1, x2, I) simultaneously — every right-hand side uses the
     iterates from the previous sweep, so with identical component matrices
     and identical starts each mode reproduces the symmetric run exactly.
-    Returns one trace per mode.
+    Modes 2 and 3 are mode-1 contractions of the tensor with its component
+    matrices rotated.  Returns one trace per mode.
     """
     if not isinstance(tensor, FactoredTensor3):
         raise InvalidArgumentError("asymmetric runs need a FactoredTensor3")
     config = config or PowerConfig()
     n_iters = config.max_iters or default_max_iters(tensor.dim)
+    A, B, C, w = tensor.components, tensor.components_b, tensor.components_c, tensor.weights
+    modes = (tensor, FactoredTensor3(B, w, A, C), FactoredTensor3(C, w, A, B))
     vecs = [_check_unit(v).copy() for v in (x0, y0, z0)]
-    targets = [_target_column(ground_truth, config, m) for m in ("a", "b", "c")]
+    targets = [_target_column(ground_truth, config, m)
+               for m in ("components", "components_b", "components_c")]
 
     traces = [IterationTrace(config.trace_level) for _ in range(3)]
     for tr, v, tg in zip(traces, vecs, targets):
         corr = float(v @ tg) if tg is not None else float("nan")
         tr._append(v, float("nan"), corr, 0.0, None)
-        tr._n = 1
     for _ in range(n_iters):
-        updates = _mode_contractions(tensor, *vecs)
-        prev = vecs
-        vecs = []
-        done_fixed = True
-        done_target = targets[0] is not None
+        x1, x2, x3 = vecs
+        updates = [contract_1(t, v, u) for t, (v, u) in zip(modes, ((x2, x3), (x1, x3), (x1, x2)))]
+        prev, vecs = vecs, []
+        done_fixed, done_target = True, targets[0] is not None
         for i, (tr, raw, tg) in enumerate(zip(traces, updates, targets)):
-            nrm = float(np.linalg.norm(raw))
-            if nrm < 1e-300:
-                raise DegenerateIterateError(f"mode-{i + 1} contraction vanished")
-            v = raw / nrm
+            v, nrm = _normalize(raw, f"mode-{i + 1} contraction")
             corr = float(v @ tg) if tg is not None else float("nan")
             tr._append(v, nrm, corr, 0.0, None)
-            tr._n += 1
             vecs.append(v)
-            if min(np.linalg.norm(v - prev[i]), np.linalg.norm(v + prev[i])) >= 1e-12:
-                done_fixed = False
+            done_fixed = done_fixed and _fixed_point(v, prev[i])
             if tg is not None and abs(corr) < 1.0 - config.convergence_gamma:
                 done_target = False
-        if done_fixed:
+        if done_fixed or done_target:
             for tr in traces:
-                tr.stop_reason = "fixed-point"
-            break
-        if done_target:
-            for tr in traces:
-                tr.stop_reason = "target-correlation"
+                tr.stop_reason = "fixed-point" if done_fixed else "target-correlation"
             break
     return tuple(traces)
 
@@ -310,12 +296,16 @@ def run_power_asymmetric(tensor, x0, y0, z0, config=None, ground_truth=None):
 def run_power_with_shadow(perturbed, x0, config=None, ground_truth=None):
     """Noisy power iteration with an exact-tensor shadow decomposition.
 
-    Runs the update on T + E while maintaining the split
-    ``x_hat = x + xi``: the shadow x is advanced by the exact-tensor update
-    applied to the current shadow and renormalized by the *noisy* update's
-    norm (so the split reproduces the noisy iteration identically), and
-    ``xi = x_hat - x`` is the accumulated noise component.  With E = 0 the
-    two trajectories coincide bitwise and ||xi|| is exactly 0 at every step.
+    Runs ``run_power`` on T + E, then recomputes the split
+    ``x_hat = x + xi`` from its iterates: the shadow starts at x_hat_0 and is
+    advanced by the exact-tensor update applied to the current shadow and
+    renormalized by the *noisy* update's norm,
+
+        x_t = T(I, x_{t-1}, x_{t-1}) / ||(T + E)(I, x_hat_{t-1}, x_hat_{t-1})||,
+
+    and ``xi = x_hat - x`` is the accumulated noise component.  With E = 0
+    the two trajectories coincide bitwise and ||xi|| is exactly 0 at every
+    step.
 
     The recorded iterate and correlations refer to the noisy trajectory;
     ``noise_component_norms`` carries ||xi||.  Once ||xi|| is of order one
@@ -326,36 +316,13 @@ def run_power_with_shadow(perturbed, x0, config=None, ground_truth=None):
     if not isinstance(perturbed, PerturbedTensor):
         raise InvalidArgumentError("run_power_with_shadow needs a PerturbedTensor")
     config = config or PowerConfig()
-    n_iters = config.max_iters or default_max_iters(perturbed.dim)
-    target = _target_column(ground_truth, config, "a")
-
-    x_hat = _check_unit(x0).copy()
-    shadow = x_hat.copy()
-    corr = float(x_hat @ target) if target is not None else float("nan")
+    noisy = run_power(perturbed, x0, replace(config, trace_level="full"), ground_truth)
     trace = IterationTrace(config.trace_level)
-    trace._append(x_hat, float("nan"), corr, 0.0, perturbed.signal)
-    count = 1
-    if target is not None and abs(corr) >= 1.0 - config.convergence_gamma:
-        trace.stop_reason = "target-correlation"
-        trace._n = count
-        return trace
-    for _ in range(n_iters):
-        nu = contract_1(perturbed, x_hat, x_hat)
-        nrm = float(np.linalg.norm(nu))
-        if nrm < 1e-300:
-            raise DegenerateIterateError("noisy contraction vanished")
-        prev = x_hat
-        x_hat = nu / nrm
-        shadow = contract_1(perturbed.signal, shadow, shadow) / nrm
+    shadow = noisy.xs[0]
+    for t, (x_hat, nrm) in enumerate(zip(noisy.xs, noisy.unnormalized_norms)):
+        if t:
+            shadow = contract_1(perturbed.signal, shadow, shadow) / nrm
         xi_norm = float(np.linalg.norm(x_hat - shadow))
-        corr = float(x_hat @ target) if target is not None else float("nan")
-        trace._append(x_hat, nrm, corr, xi_norm, perturbed.signal)
-        count += 1
-        if target is not None and abs(corr) >= 1.0 - config.convergence_gamma:
-            trace.stop_reason = "target-correlation"
-            break
-        if min(np.linalg.norm(x_hat - prev), np.linalg.norm(x_hat + prev)) < 1e-12:
-            trace.stop_reason = "fixed-point"
-            break
-    trace._n = count
+        trace._append(x_hat, nrm, noisy.target_correlations[t], xi_norm, perturbed.signal)
+    trace.stop_reason = noisy.stop_reason
     return trace

@@ -20,13 +20,12 @@ results are identical for any thread count.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .rng import stream, thread_count
+from .rng import map_in_order, stream
 
 _SE_BAND = 4.0
 _ORTH_TOL = 1e-10
@@ -36,19 +35,6 @@ _RAW_CAP = 10_000
 
 # ---------------------------------------------------------------------------
 # small shared helpers
-
-
-def _map_blocks(fn, n_blocks, threads=None):
-    """Run fn(block_index) for every block, returning results in index order.
-
-    The merge order is fixed by the block index, never by completion time,
-    so any reduction over the returned list is scheduling-independent.
-    """
-    workers = thread_count(threads)
-    if workers <= 1 or n_blocks <= 1:
-        return [fn(i) for i in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_blocks)))
 
 
 def _block_sizes(trials, block=_TRIAL_BLOCK):
@@ -578,7 +564,7 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
         dev_f = np.linalg.norm(resid.reshape(len(samp), -1), axis=1)
         return s1, s2, orth, dev_f
 
-    parts = _map_blocks(one_block, len(sizes), threads)
+    parts = map_in_order(one_block, len(sizes), threads)
     mean_emp = sum(p[0] for p in parts) / trials
     cov_emp = sum(p[1] for p in parts) / (trials * d)
     orth_res = max(p[2] for p in parts)
@@ -699,7 +685,7 @@ def check_iterative_conditioning(d, k, constraint_chain_length, trials, seed,
         dev_f = np.linalg.norm(resid.reshape(len(samp), -1), axis=1)
         return s1, s2, pooled_sq, orth, dev_f
 
-    parts = _map_blocks(one_block, len(sizes), threads)
+    parts = map_in_order(one_block, len(sizes), threads)
     mean_emp = sum(p[0] for p in parts) / trials
     var_pos = sum(p[1] for p in parts) / trials
     pooled_var = sum(p[2] for p in parts) / (trials * n_free)
@@ -852,7 +838,7 @@ def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
             w_norms.append(float(np.linalg.norm((z) ** 2)))
         return ratios, w_norms
 
-    parts = _map_blocks(one_block, len(sizes), threads)
+    parts = map_in_order(one_block, len(sizes), threads)
     ratios = {kind: [] for kind in _SHIFT_KINDS}
     w_norms = []
     for block_ratios, block_w in parts:
@@ -950,7 +936,7 @@ def check_mixed_norm_bound(d, k, trials, seed, threads=None):
             out.append((float(val), float(tiny_val), cos))
         return out
 
-    rows = [row for part in _map_blocks(one_block, len(sizes), threads)
+    rows = [row for part in map_in_order(one_block, len(sizes), threads)
             for row in part]
     scale = math.sqrt(k / d)
     ratios = np.array([r[0] for r in rows]) / scale

@@ -5,10 +5,11 @@ by an integer seed plus a small integer path (e.g. ``stream(seed, TAG, i)``).
 Philox is counter-based, so streams for different paths are statistically
 independent and completely insensitive to scheduling: a batch of seeds run
 across any number of threads reproduces the single-threaded results bit for
-bit.
+bit.  ``map_in_order`` is the thread pool such batches run on.
 """
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,3 +44,16 @@ def thread_count(explicit=None):
     if n < 1:
         raise InvalidArgumentError(f"thread count must be >= 1, got {n}")
     return n
+
+
+def map_in_order(worker, count, threads=None):
+    """Run worker(i) for i in range(count) on ``thread_count(threads)`` threads.
+
+    Results come back in index order, never in completion order, so any
+    reduction over the returned list is scheduling-independent.
+    """
+    workers = thread_count(threads)
+    if workers <= 1 or count <= 1:
+        return [worker(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, range(count)))

@@ -14,8 +14,10 @@ The mode-1 contraction ``T(I, v, w)`` is the workhorse: for the factored form
     T(I, v, w) = sum_j w_j <b_j, v> <c_j, w> a_j
 
 and for the dense form the explicit double sum over the trailing two indices.
-Given d x m blocks V and W it returns the d x m block of T(I, v_j, w_j), one
-BLAS-3 product instead of m vector products.
+Each representation implements it as a ``contract_1(v, w)`` method; the
+module-level ``contract_1`` checks the probes and dispatches to it.  Given
+d x m blocks V and W it returns the d x m block of T(I, v_j, w_j), one BLAS-3
+product instead of m vector products.
 """
 
 import numpy as np
@@ -104,6 +106,12 @@ class FactoredTensor3:
         aw = np.abs(self.weights)
         return float(aw.max() / aw.min())
 
+    def contract_1(self, v, w):
+        pb = self.components_b.T @ v
+        pc = self.components_c.T @ w
+        weights = self.weights if v.ndim == 1 else self.weights[:, None]
+        return self.components @ (weights * pb * pc)
+
     def __repr__(self):
         kind = "symmetric" if self.is_symmetric else "asymmetric"
         return f"FactoredTensor3(d={self.dim}, k={self.rank}, {kind})"
@@ -132,6 +140,18 @@ class DenseTensor3:
     @property
     def dim(self):
         return self.entries.shape[0]
+
+    def contract_1(self, v, w):
+        d = self.dim
+        if v.ndim == 1:
+            return self.entries.reshape(d, d * d) @ np.outer(v, w).ravel()
+        # the d x d^2 unfolding times the Khatri-Rao block, summed slab by
+        # slab in a fixed order: one d^2-long BLAS sum would round
+        # differently for different BLAS thread counts
+        out = np.zeros(v.shape)
+        for j in range(d):
+            out += self.entries[:, j, :] @ (v[j] * w)
+        return out
 
     def __repr__(self):
         return f"DenseTensor3(d={self.dim}, symmetric={self.symmetric})"
@@ -162,6 +182,11 @@ class PerturbedTensor:
     def dim(self):
         return self.signal.dim
 
+    def contract_1(self, v, w):
+        # through the module-level function, so each part is dispatched (and
+        # can be traced) as a contraction of its own representation
+        return contract_1(self.signal, v, w) + contract_1(self.noise, v, w)
+
 
 def _check_probe(tensor, v, name):
     v = np.asarray(v, dtype=np.float64)
@@ -172,36 +197,12 @@ def _check_probe(tensor, v, name):
     return v
 
 
-def _contract_1(tensor, v, w):
-    if isinstance(tensor, FactoredTensor3):
-        pb = tensor.components_b.T @ v
-        pc = tensor.components_c.T @ w
-        weights = tensor.weights if v.ndim == 1 else tensor.weights[:, None]
-        return tensor.components @ (weights * pb * pc)
-    if isinstance(tensor, DenseTensor3):
-        d = tensor.dim
-        if v.ndim == 1:
-            return tensor.entries.reshape(d, d * d) @ np.outer(v, w).ravel()
-        # the d x d^2 unfolding times the Khatri-Rao block, summed slab by
-        # slab in a fixed order: one d^2-long BLAS sum would round
-        # differently for different BLAS thread counts
-        out = np.zeros(v.shape)
-        for j in range(d):
-            out += tensor.entries[:, j, :] @ (v[j] * w)
-        return out
-    if isinstance(tensor, PerturbedTensor):
-        return contract_1(tensor.signal, v, w) + contract_1(tensor.noise, v, w)
-    # duck-typed implicit representations (e.g. sample-sum tensors)
-    if hasattr(tensor, "contract_1"):
-        return tensor.contract_1(v, w)
-    raise InvalidArgumentError(f"unsupported tensor type {type(tensor).__name__}")
-
-
 def contract_1(tensor, v, w):
     """Mode-1 contraction T(I, v, w) -> vector of length d.
 
-    Factored path is O(dk); dense path is the explicit double sum, O(d^3).
-    ``PerturbedTensor`` contracts signal and noise separately and sums.
+    Checks the probes and calls ``tensor.contract_1(v, w)``, which every
+    representation implements: factored in O(dk), dense as the explicit
+    double sum in O(d^3), perturbed as the sum of its two parts.
 
     With d x m blocks ``v`` and ``w`` it returns the d x m block whose column
     j is T(I, v_j, w_j).  The block runs as a C-ordered copy zero-padded to a
@@ -213,12 +214,12 @@ def contract_1(tensor, v, w):
     if v.shape != w.shape:
         raise InvalidArgumentError(f"v and w shapes differ: {v.shape} vs {w.shape}")
     if v.ndim == 1:
-        return _contract_1(tensor, v, w)
+        return tensor.contract_1(v, w)
     d, m = v.shape
     width = -(-m // _BLOCK_ALIGN) * _BLOCK_ALIGN
     vp, wp = np.zeros((d, width)), np.zeros((d, width))
     vp[:, :m], wp[:, :m] = v, w
-    return _contract_1(tensor, vp, wp)[:, :m]
+    return tensor.contract_1(vp, wp)[:, :m]
 
 
 def contract_scalar(tensor, u, v, w):

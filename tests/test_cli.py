@@ -144,3 +144,13 @@ def test_non_integer_thread_variable_exits_two(tmp_path, capsys, monkeypatch):
     rc = cli(["dynamics", "--config", cfg, "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "'abc'" in capsys.readouterr().err
+
+
+def test_one_dimensional_dynamics_exits_two(tmp_path, capsys):
+    # at d = 1 no start has correlation in (0, 1) with a_1
+    cfg = _write(tmp_path, "d1.json", {"schema": 1, "kind": "dynamics", "d": 1, "k": 1,
+                                       "init_correlation": [0.3, 0.4]})
+    rc = cli(["dynamics", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "d >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

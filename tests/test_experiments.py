@@ -47,6 +47,13 @@ def test_schema_and_kind_validation():
         load_config({"schema": 1, "kind": "dynamics"})  # missing required keys
     with pytest.raises(InvalidArgumentError):
         load_config(dict(DYN, init_correlation=[0.5, 0.4]))
+    # at d = 1 there is no direction orthogonal to a_1 to build a start from
+    with pytest.raises(InvalidArgumentError, match="d >= 2"):
+        load_config(dict(DYN, d=1, k=1))
+    with pytest.raises(InvalidArgumentError, match="d >= 2"):
+        load_config(dict(DYN, kind="noise-sweep", d=1, k=1, noise_norm_factors=[0.1],
+                         accept={}))
+    assert load_config(dict(DYN, d=2, k=2)).data["d"] == 2
 
 
 def test_probe_check_validation():

@@ -58,6 +58,14 @@ def test_power_step_requires_unit_iterate():
     T = FactoredTensor3(A, np.ones(5))
     with pytest.raises(InvalidArgumentError):
         power_step(T, np.ones(5))
+    # a NaN norm is not within any tolerance of 1
+    nan = np.full(5, np.nan)
+    with pytest.raises(InvalidArgumentError):
+        power_step(T, nan)
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, nan, PowerConfig(max_iters=3))
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, np.column_stack([A[:, 0], nan]), PowerConfig(max_iters=3, trace_level="none"))
 
 
 def test_degenerate_contraction_raises():
@@ -215,6 +223,24 @@ def test_asymmetric_reduces_to_symmetric():
     assert np.array_equal(trb.final_x, sym.final_x)
 
 
+def test_asymmetric_sweep_matches_dense_contractions():
+    # one sweep against einsum on the dense tensor, every mode opened in turn
+    d, k = 7, 11
+    A, B, C = (random_components(d, k, seed=s) for s in (21, 22, 23))
+    T = FactoredTensor3(A, np.linspace(0.5, 2.0, k), B, C)
+    E = densify(T).entries
+    rng = stream(21, 58)
+    x1, x2, x3 = (v / np.linalg.norm(v) for v in rng.standard_normal((3, d)))
+    traces = run_power_asymmetric(T, x1, x2, x3, PowerConfig(max_iters=1, trace_level="full"))
+    refs = (np.einsum("ijk,j,k->i", E, x2, x3),
+            np.einsum("ijk,i,k->j", E, x1, x3),
+            np.einsum("ijk,i,j->k", E, x1, x2))
+    for tr, ref in zip(traces, refs):
+        assert len(tr) == 2
+        assert abs(tr.unnormalized_norms[1] - np.linalg.norm(ref)) < 1e-12
+        assert np.max(np.abs(tr.final_x - ref / np.linalg.norm(ref))) < 1e-12
+
+
 def test_asymmetric_recovers_modes_from_warm_start():
     # fixed-seed cohort; margins measured once and frozen with slack
     mins = []
@@ -273,6 +299,40 @@ def test_shadow_noise_norm_small_for_small_noise():
     trace = run_power_with_shadow(P, x0, cfg, ground_truth=T)
     assert trace.noise_norms[0] == 0.0
     assert np.max(trace.noise_norms) < 0.01
+
+
+def test_shadow_split_matches_plain_recursion_at_nonzero_noise():
+    # independent of tpi.power: x_hat_t = (T+E)(I, x_hat, x_hat) / nu_t and
+    # s_t = T(I, s, s) / nu_t, written out in numpy with the same products
+    # tpi.tensors forms, so xi_t = ||x_hat_t - s_t|| must agree bit for bit
+    d, k = 8, 16
+    A = random_components(d, k, seed=10)
+    w = np.linspace(1.0, 1.5, k)
+    T = FactoredTensor3(A, w)
+    noise = scale_noise_to(symmetrize(stream(10, 54).standard_normal((d, d, d))), 0.05, seed=10)
+    P = PerturbedTensor(T, noise, noise_spectral_norm=0.05)
+    x0 = A[:, 0] + 0.5 * stream(10, 55).standard_normal(d)
+    x0 /= np.linalg.norm(x0)
+    cfg = PowerConfig(max_iters=8, convergence_gamma=1e-12, track_target=0)
+    trace = run_power_with_shadow(P, x0, cfg, ground_truth=T)
+
+    Eflat = noise.entries.reshape(d, d * d)
+    Td = densify(T).entries + noise.entries
+    x_hat, s = x0, x0
+    xis, nus = [0.0], [float("nan")]
+    for _ in range(8):
+        nu = A @ (w * (A.T @ x_hat) * (A.T @ x_hat)) + Eflat @ np.outer(x_hat, x_hat).ravel()
+        nrm = float(np.linalg.norm(nu))
+        dense = np.einsum("ijk,j,k->i", Td, x_hat, x_hat)
+        assert np.max(np.abs(nu - dense)) < 1e-12
+        x_hat, s = nu / nrm, A @ (w * (A.T @ s) * (A.T @ s)) / nrm
+        xis.append(float(np.linalg.norm(x_hat - s)))
+        nus.append(nrm)
+    assert len(trace) == 9 and trace.stop_reason == "max-iters"
+    assert trace.noise_component_norms == xis
+    assert trace.unnormalized_norms[1:] == nus[1:]
+    assert np.array_equal(trace.final_x, x_hat)
+    assert min(xis[1:]) > 1e-3  # the noise is felt from the first step
 
 
 def _shape(name):
