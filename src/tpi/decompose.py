@@ -12,7 +12,6 @@ optional joint least-squares refit is available for Frobenius-metric work.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidArgumentError
 from .power import PowerConfig, default_max_iters, power_step, run_power
@@ -229,7 +228,8 @@ def _greedy_assign(C):
             used_r[r] = used_c[c] = True
             if len(rows) == min(m, k):
                 break
-    return np.array(rows), np.array(cols)
+    order = np.argsort(rows)  # rows ascending, as linear_sum_assignment returns them
+    return np.array(rows)[order], np.array(cols)[order]
 
 
 def match_and_score(estimates, ground_truth, greedy=None):
@@ -250,6 +250,8 @@ def match_and_score(estimates, ground_truth, greedy=None):
     if greedy:
         rows, cols = _greedy_assign(C)
     else:
+        from scipy.optimize import linear_sum_assignment  # slow import, kept off `import tpi`
+
         rows, cols = linear_sum_assignment(-C)
     signs_matched = np.sign(np.sum(E[:, rows] * A[:, cols], axis=0))
     signs_matched[signs_matched == 0] = 1.0

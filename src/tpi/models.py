@@ -20,7 +20,6 @@ and its population value is again sum_j priors_j a_j^{(x)3}.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .container import load_matrix, save_matrix
 from .errors import InvalidArgumentError, ResourceBudgetError
@@ -28,10 +27,14 @@ from .rng import stream
 from .tensors import DENSE_DIM_LIMIT, DenseTensor3, FactoredTensor3
 
 _CHUNK = 65536  # fixed accumulation chunk so summation order never varies
-# Sample chunk of SampleTensor3.contract_1.  It bounds the temporaries at
-# 1024 x m, and it keeps each BLAS sum short: OpenBLAS splits a 20000-sample
-# vector product across its threads, so the bytes depended on their count.
+# Sample chunk of SampleTensor3.contract_1.  It keeps each BLAS sum short:
+# OpenBLAS splits a 20000-sample vector product across its threads, so the
+# bytes depended on their count.
 _SAMPLE_CHUNK = 1024
+# SampleTensor3.contract_1 walks its chunks in groups whose temporaries hold
+# at most this many doubles (1 MB): a vector takes 128 chunks per group, a
+# 32-column block 4 and a block of more than 64 columns 1.
+_GROUP_DOUBLES = 1 << 17
 
 
 def _check_simplex(priors, k):
@@ -212,25 +215,48 @@ class SampleTensor3:
     Satisfies the same contraction protocol the power engine uses, so the
     overcomplete pipeline can run straight off samples.  The sum runs over
     fixed chunks of ``_SAMPLE_CHUNK`` samples, for a vector pair and for a
-    d x m block pair alike.
+    d x m block pair alike.  The full chunks of each view are one strided
+    (n_chunks, d, chunk) view of it, so a group of chunks is one stacked
+    matmul per operand, made inside numpy without the GIL.  Each chunk is
+    still its own BLAS call with the shapes and leading dimensions of a plain
+    slice, and the chunk products are added in chunk order, so the bytes are
+    those of a per-chunk loop.
     """
 
     def __init__(self, batch):
         if batch.p < 3:
             raise InvalidArgumentError("need at least three views")
-        self._Z1, self._Z2, self._Z3 = batch.views[0], batch.views[1], batch.views[2]
-        self._n = batch.n
+        views = batch.views[:3]
+        self._Z1 = views[0]
+        self._n = n = batch.n
+        d, full = self.dim, n - n % _SAMPLE_CHUNK
+        # Each stack is three (chunks, d, samples) views: the full chunks,
+        # then the tail as a stack of one.
+        self._stacks = []
+        if full:
+            self._stacks.append(tuple(
+                Z[:, :full].reshape(d, full // _SAMPLE_CHUNK, _SAMPLE_CHUNK).transpose(1, 0, 2)
+                for Z in views))
+        if full < n:
+            self._stacks.append(tuple(Z[None, :, full:] for Z in views))
 
     @property
     def dim(self):
         return self._Z1.shape[0]
 
     def contract_1(self, v, w):
-        acc = np.zeros(np.shape(v))
-        for lo in range(0, self._n, _SAMPLE_CHUNK):
-            s = slice(lo, lo + _SAMPLE_CHUNK)
-            acc += self._Z1[:, s] @ ((self._Z2[:, s].T @ v) * (self._Z3[:, s].T @ w))
-        return acc / self._n
+        V = np.reshape(v, (self.dim, -1))
+        W = np.reshape(w, (self.dim, -1))
+        acc = np.zeros(V.shape)
+        group = max(1, _GROUP_DOUBLES // (max(_SAMPLE_CHUNK, self.dim) * V.shape[1]))
+        for Z1, Z2, Z3 in self._stacks:
+            for lo in range(0, len(Z1), group):
+                s = slice(lo, lo + group)
+                u = Z2[s].mT @ V
+                u *= Z3[s].mT @ W
+                for product in Z1[s] @ u:
+                    acc += product
+        return (acc / self._n).reshape(np.shape(v))
 
 
 def _sigma_correction(mean_vec, sigma):
@@ -316,6 +342,8 @@ def snr(batch, model):
 
 def chi_mean(d):
     """E ||g|| for g ~ N(0, I_d): sqrt(2) * Gamma((d+1)/2) / Gamma(d/2)."""
+    from scipy.special import gammaln  # slow import, kept off `import tpi`
+
     return float(np.sqrt(2.0) * np.exp(gammaln((d + 1) / 2.0) - gammaln(d / 2.0)))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +158,14 @@ def test_one_dimensional_dynamics_exits_two(tmp_path, capsys):
     assert rc == 2
     assert "d >= 2" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_import_and_load_config_do_not_import_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import json, sys, tpi\n"
+            f"tpi.load_config(json.loads({json.dumps(json.dumps(REC))}))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

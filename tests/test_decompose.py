@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,37 @@ def test_match_and_score_greedy_agrees_on_easy_case():
     gre = match_and_score(E, T, greedy=True)
     assert list(opt.permutation) == list(gre.permutation)
     assert opt.frobenius_error == gre.frobenius_error
+
+
+def test_match_and_score_greedy_equals_optimal_where_greedy_is_optimal():
+    # Five noisy estimates of distinct truth columns out of seven: each
+    # estimate's best truth column is its own, so greedy is optimal.
+    A = orthonormal(9, 7, 69)
+    T = FactoredTensor3(A, np.ones(7))
+    perm = [4, 0, 6, 2, 5]
+    signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+    E = A[:, perm] * signs + 0.05 * stream(69, 53).standard_normal((9, 5))
+    E /= np.linalg.norm(E, axis=0)
+    opt = match_and_score(E, T)
+    gre = match_and_score(E, T, greedy=True)
+    assert list(opt.permutation) == perm
+    for field_name in ("permutation", "signs", "per_component_correlations"):
+        assert np.array_equal(getattr(gre, field_name), getattr(opt, field_name))
+    assert gre.frobenius_error == opt.frobenius_error
+    assert gre.missed == opt.missed == [1, 3]
+    assert gre.matched_pairs == opt.matched_pairs == 5
+
+
+def test_match_and_score_switches_to_greedy_above_limit(monkeypatch):
+    # |E^T A| = [[0.9, 0.8], [0.8, 0.1]]: greedy takes 0.9 + 0.1, the optimal
+    # assignment 0.8 + 0.8.
+    T = FactoredTensor3(np.eye(2), np.ones(2))
+    E = np.array([[0.9, 0.8], [0.8, 0.1]])
+    assert list(match_and_score(E, T).permutation) == [1, 0]
+    assert list(match_and_score(E, T, greedy=True).permutation) == [0, 1]
+    monkeypatch.setattr(sys.modules["tpi.decompose"], "_ASSIGNMENT_LIMIT", 1)
+    assert list(match_and_score(E, T).permutation) == [0, 1]
+    assert list(match_and_score(E, T, greedy=False).permutation) == [1, 0]
 
 
 def test_learn_multiview_exact_tensor_cohort():

@@ -1,9 +1,12 @@
 """Byte-identical artifacts of a multi-seed multiview recovery run, across
-worker counts and across BLAS thread counts.
+worker counts and across BLAS thread counts, and of a pooled
+sample-complexity run across worker counts.
 
-The run has accept5's shape (d=50, k=100, n=20000, implicit samples) on
-three seeds, so a pool of two workers splits it, and its long sample sums
-are where a BLAS library would split a reduction across its threads.
+The recovery run has accept5's shape (d=50, k=100, n=20000, implicit
+samples) on three seeds, so a pool of two workers splits it, and its long
+sample sums are where a BLAS library would split a reduction across its
+threads.  The sample-complexity run has accept6's shape with a smaller
+decomposition; its two workers contract their sample tensors concurrently.
 """
 
 import json
@@ -24,12 +27,20 @@ MULTIVIEW = {
 }
 
 
+POOLED = {
+    "schema": 1, "kind": "sample-complexity", "seeds": {"count": 2, "base": 0},
+    "d": 15, "k": 20, "zeta": 0.05, "sample_sizes": [1000, 4000],
+    "compare_decomposition": {"n": 20000, "inits": 10},
+}
+
+
 def _artifacts(out):
-    """table.csv bytes and report.json less its wall-clock time."""
-    report = json.loads((out / "report.json").read_text())
+    """Every artifact's bytes, with report.json less its wall-clock time."""
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    report = json.loads(files.pop("report.json"))
     report.pop("wall_clock_s")
     report.pop("out_dir")
-    return (out / "table.csv").read_bytes(), report
+    return files, report
 
 
 def test_multiview_artifacts_identical_across_worker_counts(tmp_path):
@@ -37,6 +48,17 @@ def test_multiview_artifacts_identical_across_worker_counts(tmp_path):
         config = load_config(MULTIVIEW, out=str(tmp_path / f"w{threads}"))
         run_experiment(config, threads=threads)
     assert _artifacts(tmp_path / "w1") == _artifacts(tmp_path / "w2")
+
+
+def test_pooled_sample_complexity_artifacts_identical_across_worker_counts(tmp_path):
+    for threads in (1, 2):
+        config = load_config(POOLED, out=str(tmp_path / f"w{threads}"))
+        run_experiment(config, threads=threads)
+    files, report = _artifacts(tmp_path / "w1")
+    assert sorted(files) == ["config.json", "table.csv"]
+    assert len(report["per_seed"]) == 2
+    assert "decomposition_ratio" in report["aggregates"]
+    assert _artifacts(tmp_path / "w2") == (files, report)
 
 
 def test_multiview_artifacts_identical_across_blas_threads(tmp_path):

@@ -133,6 +133,36 @@ def test_sample_tensor_contraction_matches_dense():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def chunk_loop_contraction(batch, v, w, chunk=1024):
+    """T(I, v, w) as a plain loop over 1024-sample slices of the views."""
+    Z1, Z2, Z3 = batch.views[:3]
+    acc = np.zeros(np.shape(v))
+    for lo in range(0, batch.n, chunk):
+        s = slice(lo, lo + chunk)
+        acc += Z1[:, s] @ ((Z2[:, s].T @ v) * (Z3[:, s].T @ w))
+    return acc / batch.n
+
+
+@pytest.mark.parametrize("n", [500, 2048, 20000])
+def test_sample_tensor_stacked_chunks_match_chunk_loop_bitwise(n):
+    # n = 500 has no full chunk, 2048 no tail, 20000 a 544-sample tail.
+    d = 15
+    rng = stream(n, 61)
+    batch = SampleBatch([rng.standard_normal((d, n)) for _ in range(3)])
+    implicit = SampleTensor3(batch)
+    if n >= 1024:
+        for view, stack in zip(batch.views, implicit._stacks[0]):
+            assert stack.shape == (n // 1024, d, 1024)
+            assert np.shares_memory(stack, view)
+    for m in (None, 1, 5, 32, 224):
+        shape = d if m is None else (d, m)
+        v, w = rng.standard_normal(shape), rng.standard_normal(shape)
+        out = implicit.contract_1(v, w)
+        oracle = chunk_loop_contraction(batch, v, w)
+        assert out.shape == oracle.shape
+        assert out.tobytes() == oracle.tobytes(), m
+
+
 def test_batch_save_load_round_trip(tmp_path):
     A = random_components(4, 3, seed=38)
     model = MixtureModel(A, np.full(3, 1 / 3), noise_scale=0.2)
