@@ -144,7 +144,10 @@ class DenseTensor3:
     def contract_1(self, v, w):
         d = self.dim
         if v.ndim == 1:
-            return self.entries.reshape(d, d * d) @ np.outer(v, w).ravel()
+            # contract the last mode, then the middle one: two sums of length
+            # d, whose bytes do not depend on the BLAS thread count, where
+            # the unfolding times vec(v w^T) sums d^2 terms and does
+            return (self.entries.reshape(d * d, d) @ w).reshape(d, d) @ v
         # the d x d^2 unfolding times the Khatri-Rao block, summed slab by
         # slab in a fixed order: one d^2-long BLAS sum would round
         # differently for different BLAS thread counts

@@ -1,12 +1,14 @@
-"""Byte-identical artifacts of a multi-seed multiview recovery run, across
-worker counts and across BLAS thread counts, and of a pooled
-sample-complexity run across worker counts.
+"""Byte-identical artifacts of a multi-seed multiview recovery run and of a
+noise sweep, across worker counts and across BLAS thread counts, and of a
+pooled sample-complexity run across worker counts.
 
 The recovery run has accept5's shape (d=50, k=100, n=20000, implicit
 samples) on three seeds, so a pool of two workers splits it, and its long
 sample sums are where a BLAS library would split a reduction across its
-threads.  The sample-complexity run has accept6's shape with a smaller
-decomposition; its two workers contract their sample tensors concurrently.
+threads.  The noise sweep has accept4's shape (d=100, k=300) on four seeds;
+its dense d^3 noise is contracted one vector at a time.  The
+sample-complexity run has accept6's shape with a smaller decomposition; its
+two workers contract their sample tensors concurrently.
 """
 
 import json
@@ -31,6 +33,13 @@ POOLED = {
     "schema": 1, "kind": "sample-complexity", "seeds": {"count": 2, "base": 0},
     "d": 15, "k": 20, "zeta": 0.05, "sample_sizes": [1000, 4000],
     "compare_decomposition": {"n": 20000, "inits": 10},
+}
+
+
+NOISE = {
+    "schema": 1, "kind": "noise-sweep", "seeds": {"count": 4, "base": 0},
+    "d": 100, "k": 300, "init_correlation": [0.3, 0.4],
+    "noise_norm_factors": [0.02], "power": {"max_iters": 15},
 }
 
 
@@ -61,18 +70,38 @@ def test_pooled_sample_complexity_artifacts_identical_across_worker_counts(tmp_p
     assert _artifacts(tmp_path / "w2") == (files, report)
 
 
-def test_multiview_artifacts_identical_across_blas_threads(tmp_path):
-    cfg = tmp_path / "multiview.json"
-    cfg.write_text(json.dumps(MULTIVIEW))
-    procs = []
+def _run_at_blas_threads(tmp_path, config, command):
+    """Run ``config`` at one worker under OPENBLAS_NUM_THREADS 1 and 2, in
+    two subprocesses; return the two output directories."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    procs, outs = [], []
     for blas in (1, 2):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas), TPI_THREADS="1",
                    PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-        cmd = [sys.executable, "-m", "tpi.cli", "decompose", "--config", str(cfg),
-               "--out", str(tmp_path / f"blas{blas}")]
+        outs.append(tmp_path / f"blas{blas}")
+        cmd = [sys.executable, "-m", "tpi.cli", command, "--config", str(cfg),
+               "--out", str(outs[-1])]
         procs.append(subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
                                       stderr=subprocess.PIPE))
     for proc in procs:
         _out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err.decode()
-    assert _artifacts(tmp_path / "blas1") == _artifacts(tmp_path / "blas2")
+    return outs
+
+
+def test_multiview_artifacts_identical_across_blas_threads(tmp_path):
+    blas1, blas2 = _run_at_blas_threads(tmp_path, MULTIVIEW, "decompose")
+    assert _artifacts(blas1) == _artifacts(blas2)
+
+
+def test_noise_sweep_artifacts_identical_across_blas_threads_and_workers(tmp_path):
+    blas1, blas2 = _run_at_blas_threads(tmp_path, NOISE, "dynamics")
+    files, report = _artifacts(blas1)
+    assert sorted(files) == ["config.json", "table.csv", "traces.jsonl"]
+    assert len(report["per_seed"]) == 4
+    assert _artifacts(blas2) == (files, report)
+    for threads in (1, 2):
+        config = load_config(NOISE, out=str(tmp_path / f"w{threads}"))
+        run_experiment(config, threads=threads)
+        assert _artifacts(tmp_path / f"w{threads}") == (files, report)

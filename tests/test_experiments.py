@@ -1,9 +1,11 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tpi import experiments
 from tpi.errors import InvalidArgumentError
 from tpi.experiments import (
     load_config,
@@ -12,6 +14,8 @@ from tpi.experiments import (
     run_experiment,
     run_generate,
 )
+from tpi.rng import stream
+from tpi.tensors import scale_noise_to, symmetrize
 
 DYN = {
     "schema": 1,
@@ -250,3 +254,39 @@ def test_report_json_is_strict_and_renders_null_as_nan(tmp_path):
     _, stored = load_run(str(tmp_path / "mv"))
     stored["aggregates"]["frobenius_error"]["iqr"] = None
     assert "frobenius_error.iqr,nan\n" in render_report(stored, "csv")
+
+
+def test_noise_slab_draws_concatenate_to_the_one_shot_draw():
+    d = 100
+    rows = experiments._NOISE_SLAB // (d * d)
+    assert 1 < rows < d and d % rows  # several slabs, the last one short
+    rng = stream(7, 602)
+    slabs = [rng.standard_normal((min(rows, d - lo), d, d)) for lo in range(0, d, rows)]
+    assert np.array_equal(np.concatenate(slabs), stream(7, 602).standard_normal((d, d, d)))
+
+
+@pytest.mark.parametrize("d, slab", [(100, None), (9, 2 * 81), (9, 1)])
+def test_noise_tensor_matches_symmetrize_of_the_one_shot_draw(monkeypatch, d, slab):
+    # slab 2 * 81: rows of two and a last row alone; slab 1: one row per slab
+    if slab is not None:
+        monkeypatch.setattr(experiments, "_NOISE_SLAB", slab)
+    seed, target = 7, 0.02 * np.sqrt(3 * d) / d
+    built = experiments._noise_tensor(d, target, seed)
+    raw = stream(seed, 602).standard_normal((d, d, d))
+    oracle = scale_noise_to(symmetrize(raw), target, seed=seed, restarts=4, iters=12).entries
+    assert built.symmetric and not built.entries.flags.writeable
+    assert np.max(np.abs(built.entries - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    built._check_symmetry()
+
+
+def test_noise_tensor_holds_one_d_cubed_buffer():
+    d = 100
+    experiments._noise_tensor(8, 0.01, 0)  # warm up lazy allocations
+    tracemalloc.start()
+    try:
+        experiments._noise_tensor(d, 0.02 * np.sqrt(3 * d) / d, 3)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slab_bytes = (experiments._NOISE_SLAB // (d * d)) * d * d * 8
+    assert peak <= d ** 3 * 8 + slab_bytes + 2 ** 20

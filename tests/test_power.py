@@ -316,12 +316,12 @@ def test_shadow_split_matches_plain_recursion_at_nonzero_noise():
     cfg = PowerConfig(max_iters=8, convergence_gamma=1e-12, track_target=0)
     trace = run_power_with_shadow(P, x0, cfg, ground_truth=T)
 
-    Eflat = noise.entries.reshape(d, d * d)
+    Eflat = noise.entries.reshape(d * d, d)
     Td = densify(T).entries + noise.entries
     x_hat, s = x0, x0
     xis, nus = [0.0], [float("nan")]
     for _ in range(8):
-        nu = A @ (w * (A.T @ x_hat) * (A.T @ x_hat)) + Eflat @ np.outer(x_hat, x_hat).ravel()
+        nu = A @ (w * (A.T @ x_hat) * (A.T @ x_hat)) + (Eflat @ x_hat).reshape(d, d) @ x_hat
         nrm = float(np.linalg.norm(nu))
         dense = np.einsum("ijk,j,k->i", Td, x_hat, x_hat)
         assert np.max(np.abs(nu - dense)) < 1e-12
