@@ -53,15 +53,12 @@ from .probes import (
     ConditioningCheck,
     ConstraintChain,
     FreshRandomnessReport,
-    HypothesisReport,
     MixedNormReport,
     check_conditioning_lemma,
     check_fresh_randomness,
+    check_gmm_moment,
     check_iterative_conditioning,
     check_mixed_norm_bound,
-    check_within_envelopes,
-    fit_hypothesis_envelopes,
-    monitor_hypotheses,
     quadratic_progress_ok,
     star_norm,
 )

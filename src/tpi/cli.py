@@ -6,13 +6,14 @@ sample-complexity experiments, ``dynamics`` runs single-component
 iteration studies (with or without a noise sweep), ``probe`` runs the
 distributional and moment checks, and ``report`` re-renders a stored
 run.  Exit codes: 0 success, 1 thresholds failed, 2 bad usage or bad
-config, 3 resource exhaustion.
+config (a degenerate tensor, on which a power update vanishes, counts as
+bad input), 3 resource exhaustion.
 """
 
 import argparse
 import sys
 
-from .errors import InvalidArgumentError, ResourceBudgetError
+from .errors import DegenerateIterateError, InvalidArgumentError, ResourceBudgetError
 from .experiments import load_config, load_run, render_report, run_experiment, run_generate
 from .rng import thread_count
 
@@ -85,7 +86,7 @@ def cli(argv=None):
                 "note: k >= d^1.5 lies outside the analyzed regime; "
                 "results reported anyway\n")
         return 0 if report.passed else 1
-    except InvalidArgumentError as exc:
+    except (InvalidArgumentError, DegenerateIterateError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ResourceBudgetError, MemoryError, OSError) as exc:

@@ -7,14 +7,21 @@ output embeds the config hash; per-seed metrics are merged in seed order, so
 results are byte-identical for any worker count.  All acceptance thresholds
 live in the config's ``accept`` block: a run "passes" exactly when every
 declared threshold holds.
+
+Each kind's schema is one spec in ``_KINDS``, walked by ``_walk`` to check a
+config and fill its defaults; only cross-field rules are code.
 """
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+import typing
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,12 +31,8 @@ from .errors import InvalidArgumentError
 from .models import (
     MixtureModel,
     SampleTensor3,
-    SphericalGmm,
     empirical_third_moment,
-    gmm_modified_moment,
-    gmm_population_modified_moment,
     population_third_moment,
-    sample_gmm,
     sample_multiview,
     snr,
 )
@@ -37,6 +40,7 @@ from .power import PowerConfig, run_power, run_power_with_shadow
 from .probes import (
     check_conditioning_lemma,
     check_fresh_randomness,
+    check_gmm_moment,
     check_iterative_conditioning,
     check_mixed_norm_bound,
     quadratic_progress_ok,
@@ -63,173 +67,117 @@ SCHEMA_VERSION = 1
 # doubles (2 MB), so the d^3 buffer is the only large array of its build.
 _NOISE_SLAB = 2 ** 18
 
-_SEED_KEYS = {"count", "base"}
-_POWER_KEYS = {"max_iters", "convergence_gamma", "trace_level"}
-_CLUSTER_KEYS = {"nu", "refine_iters", "max_components"}
 
-_ACCEPT_KEYS = {
-    "recovery": {"require_components", "min_correlation", "weight_tol",
-                 "recovered_fraction", "correlation_threshold",
-                 "frobenius_factor"},
-    "dynamics": {"success_correlation", "within_iterations", "success_rate",
-                 "quadratic_rate", "quadratic_pass_rate",
-                 "saturation_fraction", "final_correlation", "final_rate",
-                 "xi_max"},
-    "sample-complexity": {"ratio_range", "ratio_pair", "decomposition_factor"},
-    "probe": set(),
-}
-_ACCEPT_KEYS["noise-sweep"] = _ACCEPT_KEYS["dynamics"]
+# ---------------------------------------------------------------------------
+# config schema.  A spec maps each field name to its type, or to a (type,
+# default) pair.  A type is a check(value, where) that returns the value or
+# raises, or a nested spec for a JSON object.  A default is _REQUIRED, a
+# value, or a function of the fields before it.  A field without a default,
+# or whose default function returns None, stays out of the config when absent.
 
-_KIND_KEYS = {
-    "recovery": {"schema", "kind", "out", "seeds", "d", "k", "source",
-                 "components", "weights", "inits", "init_noise",
-                 "tensor_mode", "n", "zeta", "snr_target", "power",
-                 "cluster", "accept"},
-    "dynamics": {"schema", "kind", "out", "seeds", "d", "k",
-                 "init_correlation", "noise_norm_factor", "power", "accept"},
-    "noise-sweep": {"schema", "kind", "out", "seeds", "d", "k",
-                    "init_correlation", "noise_norm_factors", "power",
-                    "accept"},
-    "sample-complexity": {"schema", "kind", "out", "seeds", "d", "k", "zeta",
-                          "sample_sizes", "compare_decomposition", "power",
-                          "cluster", "accept"},
-    "probe": {"schema", "kind", "out", "seeds", "checks"},
-    "generate": {"schema", "kind", "out", "seeds", "what", "d", "k",
-                 "components", "weights", "n", "zeta", "views"},
-}
-
-_KIND_REQUIRED = {
-    "recovery": {"d", "k"},
-    "dynamics": {"d", "k", "init_correlation"},
-    "noise-sweep": {"d", "k", "init_correlation", "noise_norm_factors"},
-    "sample-complexity": {"d", "k", "zeta", "sample_sizes"},
-    "probe": {"checks"},
-    "generate": {"what", "d", "k"},
-}
-
-_CHECK_KEYS = {
-    "conditioning": {"check", "d", "k", "sigma2", "trials"},
-    "iterative-conditioning": {"check", "d", "k", "chain_length", "trials",
-                               "sigma2"},
-    "fresh-randomness": {"check", "d", "k", "t", "trials", "enforce_regime"},
-    "mixed-norm": {"check", "d", "k", "trials"},
-    "gmm-moment": {"check", "d", "k", "sigma", "n", "analytic_tol",
-                   "empirical_tol"},
-}
-
-EXPERIMENT_KINDS = ("recovery", "dynamics", "noise-sweep",
-                    "sample-complexity", "probe")
+_REQUIRED = object()
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = sorted(set(mapping) - allowed)
+def _type(name, ok):
+    def check(value, where):
+        if not ok(value):
+            raise InvalidArgumentError(f"{where} must be {name}, got {value!r}")
+        return value
+    check.name, check.ok = name, ok
+    return check
+
+
+INT = _type("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+COUNT = _type("an integer >= 1", lambda v: INT.ok(v) and v >= 1)
+NUM = _type("a number", lambda v: INT.ok(v) or isinstance(v, float))
+NONNEG = _type("a number >= 0", lambda v: NUM.ok(v) and v >= 0)
+POSITIVE = _type("a number > 0", lambda v: NUM.ok(v) and v > 0)
+STR = _type("a string", lambda v: isinstance(v, str))
+BOOL = _type("true or false", lambda v: isinstance(v, bool))
+OBJECT = _type("a JSON object", lambda v: isinstance(v, dict))
+
+
+def _choice(*values):
+    return _type(" or ".join(map(repr, values)), lambda v: isinstance(v, str) and v in values)
+
+
+def _either(*types):
+    return _type(" or ".join(t.name for t in types), lambda v: any(t.ok(v) for t in types))
+
+
+def _list_of(elem, length=None):
+    """A nonempty list, or one of exactly ``length`` items, of ``elem`` values."""
+    size = f"a list of {length}" if length else "a nonempty list"
+    return _type(f"{size}, each {elem.name}", lambda v: (
+        isinstance(v, (list, tuple)) and (len(v) == length if length else len(v) > 0)
+        and all(elem.ok(x) for x in v)))
+
+
+def _walk(raw, spec, where=""):
+    """Check ``raw`` against ``spec`` and return a copy: unknown or missing
+    fields and mistyped values raise, and an absent field takes its default.
+    Fields are visited in spec order."""
+    label = where or "config"
+    OBJECT(raw, label)
+    unknown = sorted(set(raw) - set(spec))
     if unknown:
-        raise InvalidArgumentError(
-            f"unknown {where} field(s): {', '.join(unknown)}")
+        raise InvalidArgumentError(f"{label}: unknown field(s): {', '.join(unknown)}")
+    out = dict(raw)
+    for name, entry in spec.items():
+        kind, default = entry if isinstance(entry, tuple) else (entry, None)
+        if name not in out:
+            default = default(out) if callable(default) else default
+            if default is _REQUIRED:
+                raise InvalidArgumentError(f"{label}: missing required field {name!r}")
+            if default is None:
+                continue
+            out[name] = default
+        at = f"{where}.{name}" if where else name
+        out[name] = _walk(out[name], kind, at) if isinstance(kind, dict) else kind(out[name], at)
+    return out
+
+
+def _dataclass_spec(cls, skip=()):
+    """Fields of a config dataclass, typed from its annotations.  Their
+    defaults stay with the dataclass, so none enters the config."""
+    types = {int: INT, float: NUM, str: STR, type(None): _type("null", lambda v: v is None)}
+    return {f.name: _either(*(types[t] for t in typing.get_args(f.type) or (f.type,)))
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# fields: the kind's spec, ``accept`` among them; runner: None when the kind
+# is not runnable as an experiment; rules: cross-field (test, message) pairs
+_Kind = namedtuple("_Kind", "fields runner rules", defaults=(None, ()))
+
+_SCHEMA = _type(str(SCHEMA_VERSION), lambda v: INT.ok(v) and v == SCHEMA_VERSION)
+_COMMON = {"schema": (_SCHEMA, _REQUIRED), "kind": (STR, _REQUIRED), "out": STR,
+           "seeds": ({"count": (COUNT, 1), "base": (INT, 0)}, {})}
+_DK = {"d": (COUNT, _REQUIRED), "k": (COUNT, _REQUIRED)}
 
 
 def _validate(raw):
-    if not isinstance(raw, dict):
-        raise InvalidArgumentError("config must be a JSON object")
-    if raw.get("schema") != SCHEMA_VERSION:
-        raise InvalidArgumentError(
-            f"config schema must be {SCHEMA_VERSION}, got {raw.get('schema')!r}")
-    kind = raw.get("kind")
-    if kind not in _KIND_KEYS:
-        raise InvalidArgumentError(
-            f"unknown experiment kind {kind!r}; expected one of "
-            f"{sorted(_KIND_KEYS)}")
-    _reject_unknown(raw, _KIND_KEYS[kind], f"{kind} config")
-    missing = sorted(_KIND_REQUIRED[kind] - set(raw))
-    if missing:
-        raise InvalidArgumentError(
-            f"{kind} config missing required field(s): {', '.join(missing)}")
-
-    cfg = dict(raw)
-    seeds = dict(cfg.get("seeds", {}))
-    _reject_unknown(seeds, _SEED_KEYS, "seeds")
-    seeds.setdefault("count", 1)
-    seeds.setdefault("base", 0)
-    if not (isinstance(seeds["count"], int) and seeds["count"] >= 1):
-        raise InvalidArgumentError("seeds.count must be a positive integer")
-    if not isinstance(seeds["base"], int):
-        raise InvalidArgumentError("seeds.base must be an integer")
-    cfg["seeds"] = seeds
-
-    if "power" in cfg:
-        _reject_unknown(cfg["power"], _POWER_KEYS, "power")
-    if "cluster" in cfg:
-        _reject_unknown(cfg["cluster"], _CLUSTER_KEYS, "cluster")
-    if "accept" in cfg:
-        _reject_unknown(cfg["accept"], _ACCEPT_KEYS.get(kind, set()), "accept")
-
-    if kind in ("recovery", "dynamics", "noise-sweep", "sample-complexity",
-                "generate"):
-        if not (int(cfg["d"]) >= 1 and int(cfg["k"]) >= 1):
-            raise InvalidArgumentError("need d >= 1 and k >= 1")
-
-    if kind == "recovery":
-        cfg.setdefault("source", "tensor")
-        if cfg["source"] not in ("tensor", "multiview"):
-            raise InvalidArgumentError("recovery source must be tensor|multiview")
-        if cfg["source"] == "multiview":
-            if ("zeta" in cfg) == ("snr_target" in cfg):
-                raise InvalidArgumentError(
-                    "multiview recovery needs exactly one of zeta, snr_target")
-            if "n" not in cfg:
-                raise InvalidArgumentError("multiview recovery needs n samples")
-            cfg.setdefault("tensor_mode", "implicit-samples")
-            cfg.setdefault("inits", 4 * int(cfg["k"]))
-        else:
-            cfg.setdefault("components", "unit-sphere")
-            cfg.setdefault("weights", 1.0)
-            cfg.setdefault("inits", "columns+noise")
-            cfg.setdefault("init_noise", 0.3)
-    elif kind in ("dynamics", "noise-sweep"):
-        if int(cfg["d"]) < 2:
-            # a start correlation below 1 needs a direction orthogonal to a_1
-            raise InvalidArgumentError(f"{kind} needs d >= 2")
-        lohi = cfg["init_correlation"]
-        if (not isinstance(lohi, (list, tuple)) or len(lohi) != 2
-                or not 0 < lohi[0] <= lohi[1] < 1):
-            raise InvalidArgumentError(
-                "init_correlation must be [lo, hi] with 0 < lo <= hi < 1")
-        if kind == "noise-sweep":
-            factors = cfg["noise_norm_factors"]
-            if not factors or any(f < 0 for f in factors):
-                raise InvalidArgumentError(
-                    "noise_norm_factors must be nonnegative and nonempty")
-    elif kind == "sample-complexity":
-        sizes = cfg["sample_sizes"]
-        if not sizes or any(int(n) < 2 for n in sizes):
-            raise InvalidArgumentError("sample_sizes must all be >= 2")
-        if "compare_decomposition" in cfg:
-            _reject_unknown(cfg["compare_decomposition"], {"n", "inits"},
-                            "compare_decomposition")
-    elif kind == "probe":
-        checks = cfg["checks"]
-        if not isinstance(checks, list) or not checks:
-            raise InvalidArgumentError("probe config needs a nonempty checks list")
-        for chk in checks:
-            name = chk.get("check")
-            if name not in _CHECK_KEYS:
-                raise InvalidArgumentError(
-                    f"unknown probe check {name!r}; expected one of "
-                    f"{sorted(_CHECK_KEYS)}")
-            _reject_unknown(chk, _CHECK_KEYS[name], f"{name} check")
-    elif kind == "generate":
-        if cfg["what"] not in ("tensor", "samples"):
-            raise InvalidArgumentError("generate what must be tensor|samples")
-        if cfg["what"] == "samples" and "n" not in cfg:
-            raise InvalidArgumentError("generate samples needs n")
+    OBJECT(raw, "config")
+    kind = _KINDS[_choice(*_KINDS)(raw.get("kind"), "kind")]
+    cfg = _walk(raw, {**_COMMON, **kind.fields})
+    for test, message in kind.rules:
+        if not test(cfg):
+            raise InvalidArgumentError(f"{cfg['kind']} config: {message}")
     return cfg
 
 
 @dataclass
 class ExperimentConfig:
-    """A validated, normalized experiment description."""
+    """A validated, normalized experiment description.
+
+    The power and cluster blocks are built here, so ``PowerConfig`` and
+    ``ClusterConfig`` run their own checks before any seed does.
+    """
 
     data: dict
+
+    def __post_init__(self):
+        self._power = PowerConfig(**self.data.get("power", {}))
+        self._cluster = ClusterConfig(**self.data.get("cluster", {}))
 
     @property
     def kind(self):
@@ -259,12 +207,10 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def power_config(self, **overrides):
-        kwargs = dict(self.data.get("power", {}))
-        kwargs.update(overrides)
-        return PowerConfig(**kwargs)
+        return replace(self._power, **overrides)
 
     def cluster_config(self):
-        return ClusterConfig(**self.data.get("cluster", {}))
+        return self._cluster
 
 
 def load_config(source, seed=None, out=None):
@@ -324,6 +270,12 @@ class RunReport:
         return doc
 
 
+# What a runner hands back: per-seed metrics, aggregates, the verdict, and the
+# rows of table.csv and traces.jsonl.
+_Outcome = namedtuple("_Outcome", "per_seed aggregates passed header rows traces",
+                      defaults=((),))
+
+
 def _strict_json(value):
     """Replace NaN and +-inf, which JSON cannot hold, by None (``null``)."""
     if isinstance(value, dict):
@@ -345,18 +297,10 @@ def _fmt_cell(value):
     return str(value)
 
 
-def _write_csv(path, header, rows, config_hash):
+def _write_lines(path, lines):
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(cell) for cell in row) + "\n")
-
-
-def _write_jsonl(path, rows):
-    with open(path, "w", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _median_iqr(values):
@@ -367,8 +311,49 @@ def _median_iqr(values):
     return {"median": float(q2), "iqr": float(q3 - q1)}
 
 
-def _regime_violated(d, k):
-    return bool(k >= d ** 1.5)
+# ---------------------------------------------------------------------------
+# problem instances shared by the kinds
+
+
+def _component_tensor(cfg, seed):
+    """The factored tensor of a recovery or generate config: ``components``
+    drawn per seed, ``weights`` a constant or a uniform [lo, hi] draw."""
+    d, k = cfg["d"], cfg["k"]
+    kind = cfg.get("components", "unit-sphere")
+    if kind == "orthonormal":
+        if k > d:
+            raise InvalidArgumentError("orthonormal components need k <= d")
+        comps = np.linalg.qr(stream(seed, 610).standard_normal((d, k)))[0]
+    else:
+        comps = random_components(d, k, seed=seed, distribution=kind)
+    w_spec = cfg.get("weights", 1.0)
+    if isinstance(w_spec, (list, tuple)):
+        lo, hi = w_spec
+        weights = stream(seed, 611).uniform(lo, hi, size=k)
+    else:
+        weights = np.full(k, float(w_spec))
+    return FactoredTensor3(comps, weights)
+
+
+def _mixture(cfg, seed, zeta):
+    """A multiview mixture with uniform priors over per-seed components, and
+    its truth tensor."""
+    k = cfg["k"]
+    comps = random_components(cfg["d"], k, seed=seed)
+    model = MixtureModel(comps, np.full(k, 1.0 / k), noise_scale=zeta,
+                         views=cfg.get("views", 3))
+    return model, FactoredTensor3(comps, np.full(k, 1.0 / k))
+
+
+def _unit_starts(rng, d, count, centers=None, noise=1.0):
+    """``count`` unit starts from one ``standard_normal(d)`` draw g each: g
+    normalized, or column j of ``centers`` plus ``noise * g``, normalized."""
+    out = []
+    for j in range(count):
+        g = rng.standard_normal(d)
+        x = g if centers is None else centers[:, j] + noise * g
+        out.append(x / np.linalg.norm(x))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +400,15 @@ def _noise_tensor(d, target_norm, seed):
     return DenseTensor3(out, symmetric=True, check=False)
 
 
-def _dynamics_seed(cfg, seed_value, factor):
-    d, k = int(cfg["d"]), int(cfg["k"])
+def _dynamics_seed(config, seed_value, factor):
+    cfg = config.data
+    d, k = cfg["d"], cfg["k"]
     comps = random_components(d, k, seed=seed_value)
     tensor = FactoredTensor3(comps, np.ones(k))
     lo, hi = cfg["init_correlation"]
     x0, c0 = _tuned_init(comps[:, 0], stream(seed_value, 601), lo, hi)
-    pcfg_kwargs = dict(cfg.get("power", {}))
-    pcfg_kwargs.setdefault("max_iters", 15)
-    pcfg = PowerConfig(track_target=0, **pcfg_kwargs)
+    pcfg = config.power_config(track_target=0,
+                               max_iters=cfg.get("power", {}).get("max_iters", 15))
     if factor:
         target = factor * math.sqrt(k) / d
         noisy = PerturbedTensor(tensor, _noise_tensor(d, target, seed_value),
@@ -432,7 +417,6 @@ def _dynamics_seed(cfg, seed_value, factor):
     else:
         trace = run_power(tensor, x0, pcfg, ground_truth=tensor)
     acc = cfg.get("accept", {})
-    corrs = trace.correlations
     metrics = {
         "seed": seed_value,
         "init_correlation": c0,
@@ -440,7 +424,7 @@ def _dynamics_seed(cfg, seed_value, factor):
         "final_correlation": trace.final_correlation(),
         "peak_correlation": trace.peak_correlation(),
         "quadratic_ok": quadratic_progress_ok(
-            corrs, d, k,
+            trace.correlations, d, k,
             rate=acc.get("quadratic_rate", 0.4),
             saturation_fraction=acc.get("saturation_fraction", 0.5)),
         "stop_reason": trace.stop_reason,
@@ -490,10 +474,7 @@ def _run_dynamics(config, threads):
         else [cfg.get("noise_norm_factor", 0.0)]
 
     def worker(i):
-        out = []
-        for factor in factors:
-            out.append(_dynamics_seed(cfg, base + i, factor))
-        return out
+        return [_dynamics_seed(config, base + i, factor) for factor in factors]
 
     results = _map_seeds(worker, count, threads)
     per_seed, csv_rows, trace_rows = [], [], []
@@ -537,52 +518,14 @@ def _run_dynamics(config, threads):
     else:
         checks, passed = _eval_dynamics_accept(acc, flat)
         aggregates.update(checks)
-    return per_seed, aggregates, passed, header, csv_rows, trace_rows
+    return _Outcome(per_seed, aggregates, passed, header, csv_rows, trace_rows)
 
 
 # ---------------------------------------------------------------------------
 # recovery
 
 
-def _recovery_tensor(cfg, seed_value):
-    d, k = int(cfg["d"]), int(cfg["k"])
-    kind = cfg["components"]
-    if kind == "orthonormal":
-        if k > d:
-            raise InvalidArgumentError("orthonormal components need k <= d")
-        comps = np.linalg.qr(stream(seed_value, 610).standard_normal((d, k)))[0]
-    else:
-        comps = random_components(d, k, seed=seed_value, distribution=kind)
-    w_spec = cfg["weights"]
-    if isinstance(w_spec, (list, tuple)):
-        lo, hi = w_spec
-        weights = stream(seed_value, 611).uniform(lo, hi, size=k)
-    else:
-        weights = np.full(k, float(w_spec))
-    return FactoredTensor3(comps, weights)
-
-
-def _recovery_inits(cfg, tensor, seed_value):
-    d, k = tensor.dim, tensor.rank
-    spec = cfg["inits"]
-    rng = stream(seed_value, 612)
-    if spec == "columns+noise":
-        cols = []
-        for j in range(k):
-            g = rng.standard_normal(d)
-            x = tensor.components[:, j] + cfg["init_noise"] * g
-            cols.append(x / np.linalg.norm(x))
-        return cols
-    count = int(spec)
-    out = []
-    for _ in range(count):
-        g = rng.standard_normal(d)
-        out.append(g / np.linalg.norm(g))
-    return out
-
-
 def _match_metrics(result, truth, acc):
-    k = truth.components.shape[1]
     report = match_and_score(result.estimates, truth)
     matched = report.per_component_correlations
     thr = acc.get("correlation_threshold", 0.95)
@@ -594,7 +537,7 @@ def _match_metrics(result, truth, acc):
         "n_components": int(result.n_components),
         "min_matched_correlation": float(np.min(matched)) if len(matched) else float("nan"),
         "mean_matched_correlation": float(np.mean(matched)) if len(matched) else float("nan"),
-        "recovered_fraction": recovered / k,
+        "recovered_fraction": recovered / truth.rank,
         "frobenius_error": float(report.frobenius_error),
         "frobenius_error_full": frob_full,
         "missed": n_missed,
@@ -602,13 +545,16 @@ def _match_metrics(result, truth, acc):
     }
 
 
-def _recovery_seed_tensor(cfg, seed_value):
-    tensor = _recovery_tensor(cfg, seed_value)
-    inits = _recovery_inits(cfg, tensor, seed_value)
-    pcfg = PowerConfig(**cfg.get("power", {}))
-    result = decompose(tensor, inits, pcfg, ClusterConfig(**cfg.get("cluster", {})))
-    acc = cfg.get("accept", {})
-    report, metrics = _match_metrics(result, tensor, acc)
+def _recovery_seed_tensor(config, seed_value):
+    cfg = config.data
+    tensor = _component_tensor(cfg, seed_value)
+    rng = stream(seed_value, 612)
+    if cfg["inits"] == "columns+noise":
+        inits = _unit_starts(rng, tensor.dim, tensor.rank, tensor.components, cfg["init_noise"])
+    else:
+        inits = _unit_starts(rng, tensor.dim, cfg["inits"])
+    result = decompose(tensor, inits, config.power_config(), config.cluster_config())
+    report, metrics = _match_metrics(result, tensor, cfg.get("accept", {}))
     errs = [abs(result.weights[i] - tensor.weights[j])
             for i, j in enumerate(report.permutation) if j >= 0]
     metrics["weight_max_err"] = float(max(errs)) if errs else float("nan")
@@ -616,24 +562,19 @@ def _recovery_seed_tensor(cfg, seed_value):
     return metrics
 
 
-def _recovery_seed_multiview(cfg, seed_value):
-    d, k = int(cfg["d"]), int(cfg["k"])
+def _recovery_seed_multiview(config, seed_value):
+    cfg = config.data
     if "zeta" in cfg:
         zeta = float(cfg["zeta"])
     else:
-        zeta = 1.0 / (float(cfg["snr_target"]) * math.sqrt(d))
-    comps = random_components(d, k, seed=seed_value)
-    model = MixtureModel(comps, np.full(k, 1.0 / k), noise_scale=zeta)
-    batch = sample_multiview(model, int(cfg["n"]), seed=seed_value)
-    m_inits = min(int(cfg["inits"]), batch.n)
+        zeta = 1.0 / (float(cfg["snr_target"]) * math.sqrt(cfg["d"]))
+    model, truth = _mixture(cfg, seed_value, zeta)
+    batch = sample_multiview(model, cfg["n"], seed=seed_value)
+    m_inits = min(cfg["inits"], batch.n)
     coverage = len(set(batch.labels[:m_inits].tolist())) if batch.labels is not None else -1
-    pcfg = PowerConfig(**cfg.get("power", {}))
-    ccfg = ClusterConfig(**cfg.get("cluster", {}))
-    result = learn_multiview(batch, cfg["tensor_mode"], pcfg, ccfg,
-                             model=model, max_inits=m_inits)
-    acc = cfg.get("accept", {})
-    truth = FactoredTensor3(comps, np.full(k, 1.0 / k))
-    report, metrics = _match_metrics(result, truth, acc)
+    result = learn_multiview(batch, cfg["tensor_mode"], config.power_config(),
+                             config.cluster_config(), model=model, max_inits=m_inits)
+    report, metrics = _match_metrics(result, truth, cfg.get("accept", {}))
     snr_rep = snr(batch, model)
     metrics.update({
         "seed": seed_value,
@@ -641,7 +582,7 @@ def _recovery_seed_multiview(cfg, seed_value):
         "snr_empirical": snr_rep.empirical,
         "snr_theoretical": snr_rep.theoretical,
         "init_coverage": coverage,
-        "coverage_ok": bool(coverage == k),
+        "coverage_ok": bool(coverage == cfg["k"]),
         "weight_max_err": float("nan"),
     })
     return metrics
@@ -676,61 +617,42 @@ def _run_recovery(config, threads):
     worker = (_recovery_seed_multiview if cfg["source"] == "multiview"
               else _recovery_seed_tensor)
 
-    per_seed = _map_seeds(lambda i: worker(cfg, base + i), count, threads)
+    per_seed = _map_seeds(lambda i: worker(config, base + i), count, threads)
     acc = cfg.get("accept", {})
-    k = int(cfg["k"])
-    seed_ok = [_eval_recovery_accept(acc, m, k) for m in per_seed]
-    passed = all(seed_ok)
-    aggregates = {
-        "recovered_fraction": _median_iqr([m["recovered_fraction"]
-                                           for m in per_seed]),
-        "frobenius_error": _median_iqr([m["frobenius_error"]
-                                        for m in per_seed]),
-        "min_matched_correlation": _median_iqr(
-            [m["min_matched_correlation"] for m in per_seed]),
-        "success_rate": float(np.mean(seed_ok)),
-    }
+    seed_ok = [_eval_recovery_accept(acc, m, cfg["k"]) for m in per_seed]
+    aggregates = {name: _median_iqr([m[name] for m in per_seed])
+                  for name in ("recovered_fraction", "frobenius_error", "min_matched_correlation")}
+    aggregates["success_rate"] = float(np.mean(seed_ok))
     header = ["seed", "n_components", "recovered_fraction",
               "min_matched_correlation", "frobenius_error", "weight_max_err"]
-    csv_rows = [[m["seed"], m["n_components"], m["recovered_fraction"],
-                 m["min_matched_correlation"], m["frobenius_error"],
-                 m["weight_max_err"]] for m in per_seed]
-    return per_seed, aggregates, passed, header, csv_rows, []
+    csv_rows = [[m[name] for name in header] for m in per_seed]
+    return _Outcome(per_seed, aggregates, all(seed_ok), header, csv_rows)
 
 
 # ---------------------------------------------------------------------------
 # sample complexity
 
 
-def _sample_complexity_seed(cfg, seed_value):
-    d, k = int(cfg["d"]), int(cfg["k"])
-    zeta = float(cfg["zeta"])
-    comps = random_components(d, k, seed=seed_value)
-    model = MixtureModel(comps, np.full(k, 1.0 / k), noise_scale=zeta)
+def _sample_complexity_seed(config, seed_value):
+    cfg = config.data
+    model, truth = _mixture(cfg, seed_value, float(cfg["zeta"]))
     exact = population_third_moment(model)
     exact_entries = densify(exact).entries
     errors = {}
     for n in cfg["sample_sizes"]:
-        batch = sample_multiview(model, int(n), seed=seed_value)
+        batch = sample_multiview(model, n, seed=seed_value)
         emp = empirical_third_moment(batch)
-        errors[int(n)] = float(np.linalg.norm(
+        errors[n] = float(np.linalg.norm(
             (emp.entries - exact_entries).ravel()))
     metrics = {"seed": seed_value, "frobenius_errors": errors}
     if "compare_decomposition" in cfg:
         comp = cfg["compare_decomposition"]
-        n_big = int(comp["n"])
-        m = int(comp.get("inits", 3 * k))
-        rng = stream(seed_value, 620)
-        inits = []
-        for _ in range(m):
-            g = rng.standard_normal(d)
-            inits.append(g / np.linalg.norm(g))
-        pcfg = PowerConfig(**cfg.get("power", {}))
-        ccfg = ClusterConfig(**cfg.get("cluster", {}))
+        inits = _unit_starts(stream(seed_value, 620), cfg["d"],
+                             comp.get("inits", 3 * cfg["k"]))
+        pcfg, ccfg = config.power_config(), config.cluster_config()
         res_exact = decompose(exact, inits, pcfg, ccfg)
-        big = sample_multiview(model, n_big, seed=seed_value)
+        big = sample_multiview(model, comp["n"], seed=seed_value)
         res_emp = decompose(SampleTensor3(big), inits, pcfg, ccfg)
-        truth = FactoredTensor3(comps, np.full(k, 1.0 / k))
         frob_exact = match_and_score(res_exact.estimates, truth).frobenius_error
         frob_emp = match_and_score(res_emp.estimates, truth).frobenius_error
         metrics["decomposition_frobenius_exact"] = float(frob_exact)
@@ -743,21 +665,18 @@ def _sample_complexity_seed(cfg, seed_value):
 def _run_sample_complexity(config, threads):
     cfg = config.data
     base, count = config.seed_base, config.seed_count
-    per_seed = _map_seeds(lambda i: _sample_complexity_seed(cfg, base + i),
+    per_seed = _map_seeds(lambda i: _sample_complexity_seed(config, base + i),
                           count, threads)
     acc = cfg.get("accept", {})
-    aggregates = {}
-    passed = True
     n1, n2 = acc.get("ratio_pair", (cfg["sample_sizes"][0],
                                     cfg["sample_sizes"][-1]))
-    ratios = [m["frobenius_errors"][int(n1)] / m["frobenius_errors"][int(n2)]
+    ratios = [m["frobenius_errors"][n1] / m["frobenius_errors"][n2]
               for m in per_seed]
-    aggregates["error_decay_ratio"] = _median_iqr(ratios)
+    aggregates = {"error_decay_ratio": _median_iqr(ratios)}
     if "ratio_range" in acc:
         lo, hi = acc["ratio_range"]
         med = aggregates["error_decay_ratio"]["median"]
         aggregates["error_decay_ok"] = bool(lo <= med <= hi)
-        passed = passed and aggregates["error_decay_ok"]
     if "compare_decomposition" in cfg:
         dratios = [m["decomposition_ratio"] for m in per_seed]
         aggregates["decomposition_ratio"] = _median_iqr(dratios)
@@ -765,103 +684,141 @@ def _run_sample_complexity(config, threads):
             med = aggregates["decomposition_ratio"]["median"]
             aggregates["decomposition_ok"] = bool(
                 med <= acc["decomposition_factor"])
-            passed = passed and aggregates["decomposition_ok"]
     header = ["seed", "n", "frobenius_error"]
-    csv_rows = []
-    for m in per_seed:
-        for n in cfg["sample_sizes"]:
-            csv_rows.append([m["seed"], int(n), m["frobenius_errors"][int(n)]])
-    return per_seed, aggregates, bool(passed), header, csv_rows, []
+    csv_rows = [[m["seed"], n, m["frobenius_errors"][n]]
+                for m in per_seed for n in cfg["sample_sizes"]]
+    passed = all(v for name, v in aggregates.items() if name.endswith("_ok"))
+    return _Outcome(per_seed, aggregates, passed, header, csv_rows)
 
 
 # ---------------------------------------------------------------------------
 # probe
 
 
-def _gmm_moment_check(params, seed):
-    d, k = int(params["d"]), int(params["k"])
-    sigma = float(params["sigma"])
-    n = int(params.get("n", 0))
-    comps = random_components(d, k, seed=seed)
-    priors = np.full(k, 1.0 / k)
-    gmm = SphericalGmm(comps, priors, sigma)
-    target = densify(FactoredTensor3(comps, priors)).entries
-    analytic = gmm_population_modified_moment(gmm).entries
-    analytic_dev = float(np.max(np.abs(analytic - target)))
-    analytic_tol = float(params.get("analytic_tol", 1e-12))
-    out = {
-        "check": "gmm-moment",
-        "d": d, "k": k, "sigma": sigma,
-        "analytic_max_dev": analytic_dev,
-        "analytic_tol": analytic_tol,
-        "analytic_ok": analytic_dev <= analytic_tol,
-    }
-    passed = out["analytic_ok"]
-    if n:
-        samples, _ = sample_gmm(gmm, n, seed=seed)
-        emp = gmm_modified_moment(gmm, samples).entries
-        frob = float(np.linalg.norm((emp - target).ravel()))
-        tol = float(params.get("empirical_tol", 0.05))
-        out.update({"n": n, "empirical_frobenius_dev": frob,
-                    "empirical_tol": tol, "empirical_ok": frob <= tol})
-        passed = passed and out["empirical_ok"]
-    out["passed"] = bool(passed)
-    return out
+_DKT = {**_DK, "trials": (COUNT, _REQUIRED)}
+
+# check name -> (function, parameter spec).  The function takes the
+# parameters by name, plus seed and threads.  A parameter's default is the
+# function's own, or the spec's where the function has none; it is filled in
+# at the call and never enters the config.
+_PROBE_CHECKS = {
+    "conditioning": (check_conditioning_lemma, {**_DKT, "sigma2": (POSITIVE, 1.0)}),
+    "iterative-conditioning": (check_iterative_conditioning, {
+        **_DKT, "chain_length": (COUNT, 3), "sigma2": POSITIVE}),
+    "fresh-randomness": (check_fresh_randomness, {
+        **_DKT, "t": (INT, _REQUIRED), "enforce_regime": BOOL}),
+    "mixed-norm": (check_mixed_norm_bound, _DKT),
+    "gmm-moment": (check_gmm_moment, {
+        **_DK, "sigma": (POSITIVE, _REQUIRED), "n": INT, "analytic_tol": NONNEG,
+        "empirical_tol": NONNEG}),
+}
 
 
-def _run_probe_check(chk, seed, threads):
-    name = chk["check"]
-    if name == "conditioning":
-        rep = check_conditioning_lemma(
-            chk["d"], chk["k"], chk.get("sigma2", 1.0), chk["trials"], seed,
-            threads=threads)
-        return rep.to_json()
-    if name == "iterative-conditioning":
-        rep = check_iterative_conditioning(
-            chk["d"], chk["k"], chk.get("chain_length", 3), chk["trials"],
-            seed, sigma2=chk.get("sigma2", 1.0), threads=threads)
-        return rep.to_json()
-    if name == "fresh-randomness":
-        rep = check_fresh_randomness(
-            chk["d"], chk["k"], chk["t"], chk["trials"], seed,
-            enforce_regime=chk.get("enforce_regime", False), threads=threads)
-        return rep.to_json()
-    if name == "mixed-norm":
-        rep = check_mixed_norm_bound(chk["d"], chk["k"], chk["trials"], seed,
-                                     threads=threads)
-        return rep.to_json()
-    if name == "gmm-moment":
-        return _gmm_moment_check(chk, seed)
-    raise InvalidArgumentError(f"unknown probe check {name!r}")
+def _probe_checks(value, where):
+    """Check a probe ``checks`` list, each entry against its check's
+    parameters; the list is kept as given, without defaults."""
+    _list_of(OBJECT)(value, where)
+    for i, chk in enumerate(value):
+        name = _choice(*_PROBE_CHECKS)(chk.get("check"), f"{where}[{i}].check")
+        _walk(chk, {"check": STR, **_PROBE_CHECKS[name][1]}, f"{where}[{i}]")
+    return value
+
+
+def _run_check(chk, seed):
+    fn, params = _PROBE_CHECKS[chk["check"]]
+    kwargs = _walk({key: val for key, val in chk.items() if key != "check"}, params)
+    rep = fn(seed=seed, threads=1, **kwargs)
+    return rep if isinstance(rep, dict) else rep.to_json()
 
 
 def _run_probe(config, threads):
     cfg = config.data
     base, count = config.seed_base, config.seed_count
+    names = [chk["check"] for chk in cfg["checks"]]
 
     def worker(i):
-        return {
-            "seed": base + i,
-            "checks": [_run_probe_check(chk, base + i, threads=1)
-                       for chk in cfg["checks"]],
-        }
+        return {"seed": base + i, "checks": [_run_check(chk, base + i) for chk in cfg["checks"]]}
 
     per_seed = _map_seeds(worker, count, threads)
     passed = all(chk.get("passed", False)
                  for entry in per_seed for chk in entry["checks"])
-    aggregates = {
-        "checks": [chk["check"] if "check" in chk else chk.get("kind", "?")
-                   for chk in cfg["checks"]],
-        "all_passed": passed,
-    }
-    header = ["seed", "index", "check", "passed"]
-    csv_rows = []
-    for entry in per_seed:
-        for idx, chk in enumerate(entry["checks"]):
-            name = cfg["checks"][idx]["check"]
-            csv_rows.append([entry["seed"], idx, name,
-                             bool(chk.get("passed", False))])
-    return per_seed, aggregates, passed, header, csv_rows, []
+    csv_rows = [[entry["seed"], idx, names[idx], bool(chk.get("passed", False))]
+                for entry in per_seed for idx, chk in enumerate(entry["checks"])]
+    return _Outcome(per_seed, {"checks": names, "all_passed": passed}, passed,
+                    ["seed", "index", "check", "passed"], csv_rows)
+
+
+# ---------------------------------------------------------------------------
+# the kinds
+
+
+def _by_source(tensor=None, multiview=None):
+    """A recovery default that depends on the config's source."""
+    return lambda cfg: tensor if cfg["source"] == "tensor" else multiview
+
+
+_POWER = _dataclass_spec(PowerConfig, skip={"track_target"})
+_CLUSTER = _dataclass_spec(ClusterConfig)
+_COMPONENTS = _choice("unit-sphere", "gaussian", "orthonormal")
+_WEIGHTS = _either(NUM, _list_of(NUM, 2))
+_DYNAMICS = {
+    **_DK, "init_correlation": (_list_of(NUM, 2), _REQUIRED), "power": _POWER,
+    "accept": dict(success_correlation=NUM, within_iterations=INT, success_rate=NUM,
+                   quadratic_rate=NUM, quadratic_pass_rate=NUM, saturation_fraction=NUM,
+                   final_correlation=NUM, final_rate=NUM, xi_max=NUM),
+}
+_DYNAMICS_RULES = (
+    # a start correlation below 1 needs a direction orthogonal to a_1
+    (lambda cfg: cfg["d"] >= 2, "needs d >= 2"),
+    (lambda cfg: 0 < cfg["init_correlation"][0] <= cfg["init_correlation"][1] < 1,
+     "init_correlation must be [lo, hi] with 0 < lo <= hi < 1"),
+)
+
+_KINDS = {
+    "recovery": _Kind({
+        **_DK,
+        "source": (_choice("tensor", "multiview"), "tensor"),
+        "components": (_COMPONENTS, _by_source(tensor="unit-sphere")),
+        "weights": (_WEIGHTS, _by_source(tensor=1.0)),
+        "inits": (_either(COUNT, _choice("columns+noise")),
+                  lambda cfg: "columns+noise" if cfg["source"] == "tensor" else 4 * cfg["k"]),
+        "init_noise": (NONNEG, _by_source(tensor=0.3)),
+        "tensor_mode": (_choice("exact-tensor", "empirical-tensor", "implicit-samples"),
+                        _by_source(multiview="implicit-samples")),
+        "n": (COUNT, _by_source(multiview=_REQUIRED)), "zeta": NONNEG, "snr_target": POSITIVE,
+        "power": _POWER, "cluster": _CLUSTER,
+        "accept": dict(require_components=INT, min_correlation=NUM, weight_tol=NUM,
+                       recovered_fraction=NUM, correlation_threshold=NUM, frobenius_factor=NUM),
+    }, _run_recovery, (
+        (lambda cfg: cfg["source"] == "tensor" or ("zeta" in cfg) != ("snr_target" in cfg),
+         "multiview recovery needs exactly one of zeta, snr_target"),
+        (lambda cfg: cfg["source"] == "tensor" or INT.ok(cfg["inits"]),
+         "multiview recovery needs an integer inits count"),
+    )),
+    "dynamics": _Kind({**_DYNAMICS, "noise_norm_factor": NONNEG}, _run_dynamics, _DYNAMICS_RULES),
+    "noise-sweep": _Kind({**_DYNAMICS, "noise_norm_factors": (_list_of(NONNEG), _REQUIRED)},
+                         _run_dynamics, _DYNAMICS_RULES),
+    "sample-complexity": _Kind({
+        **_DK, "zeta": (NONNEG, _REQUIRED),
+        "sample_sizes": (_list_of(_type("an integer >= 2", lambda v: INT.ok(v) and v >= 2)),
+                         _REQUIRED),
+        "compare_decomposition": {"n": (COUNT, _REQUIRED), "inits": COUNT},
+        "power": _POWER, "cluster": _CLUSTER,
+        "accept": dict(ratio_range=_list_of(NUM, 2), ratio_pair=_list_of(INT, 2),
+                       decomposition_factor=NUM),
+    }, _run_sample_complexity, (
+        (lambda cfg: all(n in cfg["sample_sizes"]
+                         for n in cfg.get("accept", {}).get("ratio_pair", ())),
+         "accept.ratio_pair must be two of the sample_sizes"),
+    )),
+    "probe": _Kind({"checks": (_probe_checks, _REQUIRED)}, _run_probe),
+    "generate": _Kind({
+        "what": (_choice("tensor", "samples"), _REQUIRED), **_DK,
+        "components": _COMPONENTS, "weights": _WEIGHTS,
+        "n": (COUNT, lambda cfg: _REQUIRED if cfg["what"] == "samples" else None),
+        "zeta": NONNEG, "views": COUNT,
+    }),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -879,47 +836,37 @@ def run_experiment(config, threads=None):
     if isinstance(config, (str, os.PathLike, dict)):
         config = load_config(config)
     cfg = config.data
-    if cfg["kind"] not in EXPERIMENT_KINDS:
+    runner = _KINDS[cfg["kind"]].runner
+    if runner is None:
         raise InvalidArgumentError(
             f"config kind {cfg['kind']!r} is not runnable as an experiment")
     start = time.monotonic()
-    runner = {
-        "dynamics": _run_dynamics,
-        "noise-sweep": _run_dynamics,
-        "recovery": _run_recovery,
-        "sample-complexity": _run_sample_complexity,
-        "probe": _run_probe,
-    }[cfg["kind"]]
-    per_seed, aggregates, passed, header, csv_rows, trace_rows = runner(
-        config, threads)
+    outcome = runner(config, threads)
     wall = time.monotonic() - start
 
-    regime = False
-    if "d" in cfg and "k" in cfg:
-        regime = _regime_violated(int(cfg["d"]), int(cfg["k"]))
     report = RunReport(
         kind=cfg["kind"],
         config_hash=config.config_hash,
         seed_base=config.seed_base,
         seed_count=config.seed_count,
-        per_seed=per_seed,
-        aggregates=aggregates,
-        passed=bool(passed),
-        regime_violation=regime,
+        per_seed=outcome.per_seed,
+        aggregates=outcome.aggregates,
+        passed=bool(outcome.passed),
+        regime_violation="d" in cfg and cfg["k"] >= cfg["d"] ** 1.5,
         wall_clock_s=wall,
         out_dir=config.out,
     )
     if config.out:
         os.makedirs(config.out, exist_ok=True)
-        cfg_path = os.path.join(config.out, "config.json")
-        with open(cfg_path, "w", newline="\n") as fh:
-            fh.write(config.canonical_json() + "\n")
-        table = os.path.join(config.out, "table.csv")
-        _write_csv(table, header, csv_rows, config.config_hash)
+        _write_lines(os.path.join(config.out, "config.json"), [config.canonical_json()])
+        _write_lines(os.path.join(config.out, "table.csv"), itertools.chain(
+            [f"# config_hash={config.config_hash}", ",".join(outcome.header)],
+            (",".join(_fmt_cell(cell) for cell in row) for row in outcome.rows)))
         report.artifacts = {"config": "config.json", "table": "table.csv",
                             "report": "report.json"}
-        if trace_rows:
-            _write_jsonl(os.path.join(config.out, "traces.jsonl"), trace_rows)
+        if outcome.traces:
+            _write_lines(os.path.join(config.out, "traces.jsonl"),
+                         (json.dumps(row, sort_keys=True) for row in outcome.traces))
             report.artifacts["traces"] = "traces.jsonl"
         report.to_json(os.path.join(config.out, "report.json"))
     return report
@@ -937,28 +884,16 @@ def run_generate(config):
         raise InvalidArgumentError("generate needs an output directory")
     os.makedirs(config.out, exist_ok=True)
     seed = config.seed_base
-    d, k = int(cfg["d"]), int(cfg["k"])
     manifest = {"kind": "generate", "what": cfg["what"],
                 "config_hash": config.config_hash, "artifacts": {}}
     if cfg["what"] == "tensor":
-        comps = random_components(d, k, seed=seed,
-                                  distribution=cfg.get("components",
-                                                       "unit-sphere"))
-        w_spec = cfg.get("weights", 1.0)
-        if isinstance(w_spec, (list, tuple)):
-            weights = stream(seed, 611).uniform(w_spec[0], w_spec[1], size=k)
-        else:
-            weights = np.full(k, float(w_spec))
-        tensor = FactoredTensor3(comps, weights)
         path = os.path.join(config.out, "tensor.tpi3")
-        save_tensor(path, tensor, meta={"config_hash": config.config_hash})
+        save_tensor(path, _component_tensor(cfg, seed),
+                    meta={"config_hash": config.config_hash})
         manifest["artifacts"]["tensor"] = "tensor.tpi3"
     else:
-        comps = random_components(d, k, seed=seed)
-        model = MixtureModel(comps, np.full(k, 1.0 / k),
-                             noise_scale=float(cfg.get("zeta", 0.0)),
-                             views=int(cfg.get("views", 3)))
-        batch = sample_multiview(model, int(cfg["n"]), seed=seed)
+        model, _ = _mixture(cfg, seed, cfg.get("zeta", 0.0))
+        batch = sample_multiview(model, cfg["n"], seed=seed)
         prefix = os.path.join(config.out, "samples")
         batch.save(prefix, meta={"config_hash": config.config_hash})
         manifest["artifacts"]["samples"] = "samples"

@@ -6,10 +6,9 @@ The basic update is
 
 which, for a factored tensor with component matrix A and unit weights, is the
 O(dk) map ``x <- A (A^T x)^{*2} / ||.||`` (elementwise square).  The engine
-records per-step scalars (and optionally the full iterate and its factored
-intermediates) so dynamics can be analyzed offline.  ``run_power`` also takes
-a d x m block of starts and advances them together, one block contraction per
-step.
+records per-step scalars (and optionally the full iterate) so dynamics can
+be analyzed offline.  ``run_power`` also takes a d x m block of starts and
+advances them together, one block contraction per step.
 
 Overcomplete caveat: when k > d the true components are close to, but not
 exactly, fixed points of this map.  At small d the iterates typically climb
@@ -63,8 +62,7 @@ class IterationTrace:
     """Per-step record of a power run.  Step 0 is the initialization.
 
     Scalars are kept for every step at trace_level "norms"/"full"; the
-    iterates x (and, for factored runs, y = A^T x and w = square of y with
-    the first entry removed) only at "full".
+    iterates x only at "full".
     """
 
     def __init__(self, trace_level):
@@ -73,13 +71,11 @@ class IterationTrace:
         self.target_correlations = []
         self.noise_component_norms = []
         self.xs = []
-        self.ys = []
-        self.ws = []
         self.final_x = None
         self.stop_reason = "max-iters"
         self._n = 0
 
-    def _append(self, x, unnorm, corr, xi_norm, tensor):
+    def _append(self, x, unnorm, corr, xi_norm):
         self.final_x = x
         self._n += 1
         if self.trace_level == "none":
@@ -89,10 +85,6 @@ class IterationTrace:
         self.noise_component_norms.append(xi_norm)
         if self.trace_level == "full":
             self.xs.append(x.copy())
-            if isinstance(tensor, FactoredTensor3):
-                y = tensor.components_b.T @ x
-                self.ys.append(y)
-                self.ws.append(y[1:] ** 2)
 
     def __len__(self):
         return self._n
@@ -215,7 +207,7 @@ def run_power(tensor, x0, config=None, ground_truth=None):
     corr = float(x @ target) if target is not None else float("nan")
 
     trace = IterationTrace(config.trace_level)
-    trace._append(x, float("nan"), corr, 0.0, tensor)
+    trace._append(x, float("nan"), corr, 0.0)
     m = x.shape[1] if block else 1
     iterations = np.zeros(m, dtype=int)
     reasons = ["max-iters"] * m
@@ -234,7 +226,7 @@ def run_power(tensor, x0, config=None, ground_truth=None):
         else:
             x = x_next
             corr = float(x @ target) if target is not None else float("nan")
-            trace._append(x, unnorm, corr, 0.0, tensor)
+            trace._append(x, unnorm, corr, 0.0)
             if target is not None and abs(corr) >= 1.0 - config.convergence_gamma:
                 reasons[0] = "target-correlation"
                 break
@@ -272,7 +264,7 @@ def run_power_asymmetric(tensor, x0, y0, z0, config=None, ground_truth=None):
     traces = [IterationTrace(config.trace_level) for _ in range(3)]
     for tr, v, tg in zip(traces, vecs, targets):
         corr = float(v @ tg) if tg is not None else float("nan")
-        tr._append(v, float("nan"), corr, 0.0, None)
+        tr._append(v, float("nan"), corr, 0.0)
     for _ in range(n_iters):
         x1, x2, x3 = vecs
         updates = [contract_1(t, v, u) for t, (v, u) in zip(modes, ((x2, x3), (x1, x3), (x1, x2)))]
@@ -281,7 +273,7 @@ def run_power_asymmetric(tensor, x0, y0, z0, config=None, ground_truth=None):
         for i, (tr, raw, tg) in enumerate(zip(traces, updates, targets)):
             v, nrm = _normalize(raw, f"mode-{i + 1} contraction")
             corr = float(v @ tg) if tg is not None else float("nan")
-            tr._append(v, nrm, corr, 0.0, None)
+            tr._append(v, nrm, corr, 0.0)
             vecs.append(v)
             done_fixed = done_fixed and _fixed_point(v, prev[i])
             if tg is not None and abs(corr) < 1.0 - config.convergence_gamma:
@@ -323,6 +315,6 @@ def run_power_with_shadow(perturbed, x0, config=None, ground_truth=None):
         if t:
             shadow = contract_1(perturbed.signal, shadow, shadow) / nrm
         xi_norm = float(np.linalg.norm(x_hat - shadow))
-        trace._append(x_hat, nrm, noisy.target_correlations[t], xi_norm, perturbed.signal)
+        trace._append(x_hat, nrm, noisy.target_correlations[t], xi_norm)
     trace.stop_reason = noisy.stop_reason
     return trace

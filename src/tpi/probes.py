@@ -1,15 +1,13 @@
 """Empirical checks of the machinery used to analyze overcomplete power
 iteration.
 
-Three families live here:
+Two families live here:
 
-* per-iteration monitors that recompute, from a fully recorded trace, the
-  projection/progress/residual-norm quantities the convergence argument
-  tracks (plus envelope fitting across seeds),
 * the dictionary max-correlation norm ``star_norm`` and the quadratic
   progress predicate shared with the dynamics experiments,
 * seeded Monte Carlo verification of Gaussian conditioning identities,
-  fresh-randomness lower bounds, and the mixed-norm contraction bound.
+  fresh-randomness lower bounds, the mixed-norm contraction bound, and the
+  spherical-GMM modified-moment identity.
 
 Everything here measures; nothing proves.  Statistical checks run at a fixed
 4-standard-error band and report trial counts, thresholds, and (capped) raw
@@ -18,14 +16,15 @@ loops are chunked over fixed trial blocks with per-block derived streams, so
 results are identical for any thread count.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .models import SphericalGmm, gmm_modified_moment, gmm_population_modified_moment, sample_gmm
 from .rng import map_in_order, stream
+from .tensors import FactoredTensor3, densify, random_components
 
 _SE_BAND = 4.0
 _ORTH_TOL = 1e-10
@@ -55,14 +54,6 @@ def _perp(basis, vec):
         for q in basis:
             w -= (q @ w) * q
     return w
-
-
-def _append_orth(basis, vec, tol=1e-12):
-    """Extend an orthonormal basis by vec, skipping already-spanned inputs."""
-    w = _perp(basis, vec)
-    n = float(np.linalg.norm(w))
-    if n > tol * max(1.0, float(np.linalg.norm(vec))):
-        basis.append(w / n)
 
 
 def _cap(values):
@@ -106,258 +97,6 @@ def quadratic_progress_ok(correlations, d, k, rate=0.4, saturation_fraction=0.5)
         if r[t + 1] < min(rate * r[t] ** 2, cap):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# per-iteration invariant monitor
-
-
-@dataclass
-class HypothesisReport:
-    """Per-iteration invariants of one fully recorded power run.
-
-    Entry t (0-based index t-1) describes iteration t.  Quantities that are
-    undefined at t=1 (anything referencing the previous iteration) are NaN.
-
-    * proj_x_norm: norm of x_t orthogonal to span(x_1..x_{t-1}); 1 at t=1.
-    * proj_w_norm / proj_w_inf: l2/linf norm of w_{t-1} orthogonal to
-      span(w_1..w_{t-2}) where w = squared off-target projections.
-    * progress_abs: |<a, x_t>| for the monitored component a.
-    * progress_orth: <a, component of x_t orthogonal to earlier iterates>.
-    * u_norm: norm of the unnormalized update x~_t after removing its
-      components along earlier iterates, earlier residuals, and a; the
-      deterministic analog of the fresh-randomness part of the update.
-    * v_norm: same for the off-target projection vector y_{-1} at t-1.
-    """
-
-    d: int
-    k: int
-    component_index: int
-    proj_x_norm: np.ndarray
-    proj_w_norm: np.ndarray
-    proj_w_inf: np.ndarray
-    progress_abs: np.ndarray
-    progress_orth: np.ndarray
-    u_norm: np.ndarray
-    v_norm: np.ndarray
-    projection_identity_max_err: float
-    envelope_flags: dict | None = None
-
-    def __post_init__(self):
-        n = len(self.proj_x_norm)
-        for name in ("proj_w_norm", "proj_w_inf", "progress_abs",
-                     "progress_orth", "u_norm", "v_norm"):
-            if len(getattr(self, name)) != n:
-                raise InvalidArgumentError("per-iteration records must align")
-        for name in ("proj_x_norm", "proj_w_norm", "proj_w_inf",
-                     "progress_abs", "u_norm", "v_norm"):
-            arr = getattr(self, name)
-            finite = arr[np.isfinite(arr)]
-            if finite.size and float(finite.min()) < -1e-12:
-                raise InvalidArgumentError(f"{name} must be nonnegative")
-
-    def __len__(self):
-        return len(self.proj_x_norm)
-
-    def records(self):
-        out = []
-        for i in range(len(self)):
-            out.append({
-                "iteration": i + 1,
-                "proj_x_norm": float(self.proj_x_norm[i]),
-                "proj_w_norm": float(self.proj_w_norm[i]),
-                "proj_w_inf": float(self.proj_w_inf[i]),
-                "progress_abs": float(self.progress_abs[i]),
-                "progress_orth": float(self.progress_orth[i]),
-                "u_norm": float(self.u_norm[i]),
-                "v_norm": float(self.v_norm[i]),
-            })
-        return out
-
-    def quadratic_progress_ok(self, rate=0.4, saturation_fraction=0.5):
-        return quadratic_progress_ok(self.progress_abs, self.d, self.k,
-                                     rate=rate,
-                                     saturation_fraction=saturation_fraction)
-
-    def to_json(self, path=None):
-        doc = {
-            "d": self.d,
-            "k": self.k,
-            "component_index": self.component_index,
-            "projection_identity_max_err": self.projection_identity_max_err,
-            "envelope_flags": self.envelope_flags,
-            "records": self.records(),
-        }
-        if path is None:
-            return doc
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
-
-
-def monitor_hypotheses(trace, ground_truth, component_index=0, envelopes=None):
-    """Recompute the tracked convergence invariants from a full trace.
-
-    The trace must have been recorded at trace_level="full" on a
-    factored-tensor run so the iterates x and the per-component projections
-    y are available.  ground_truth is the factor matrix (or a factored
-    tensor); component_index selects the monitored column a.
-
-    Residual vectors are reconstructed deterministically: the update
-    direction is projected off the span of everything the update formula
-    expresses it through (earlier iterates, earlier residuals, and the
-    monitored component), which is the empirical analog of the
-    fresh-randomness decomposition used in the convergence analysis.
-    """
-    mat = np.asarray(getattr(ground_truth, "components", ground_truth),
-                     dtype=np.float64)
-    if mat.ndim != 2:
-        raise InvalidArgumentError("ground_truth must be a d x k factor matrix")
-    d, k = mat.shape
-    if getattr(trace, "trace_level", None) != "full" or not trace.xs:
-        raise InvalidArgumentError(
-            "hypothesis monitoring needs trace_level='full'")
-    if len(trace.ys) != len(trace.xs):
-        raise InvalidArgumentError(
-            "trace lacks per-iteration projections; record the run on a "
-            "factored tensor at trace_level='full'")
-    if not 0 <= component_index < k:
-        raise InvalidArgumentError("component_index out of range")
-
-    a1 = mat[:, component_index]
-    n_rec = len(trace.xs)
-    nan = float("nan")
-    proj_x = np.empty(n_rec)
-    proj_w = np.full(n_rec, nan)
-    proj_w_inf = np.full(n_rec, nan)
-    prog_abs = np.empty(n_rec)
-    prog_orth = np.empty(n_rec)
-    u_norm = np.full(n_rec, nan)
-    v_norm = np.full(n_rec, nan)
-
-    x_basis = []            # orthonormalized x_1..x_{t-1}
-    w_basis = []            # orthonormalized w_1..w_{t-2}
-    xu_basis = []           # orthonormalized {a, x_1.., u_2..}
-    wv_basis = []           # orthonormalized {w_1.., v_1..}
-    _append_orth(xu_basis, a1)
-    all_w = []
-    v_norms_seen = []
-    max_ident_err = 0.0
-
-    for t in range(1, n_rec + 1):
-        x_t = np.asarray(trace.xs[t - 1], dtype=np.float64)
-        y_t = np.asarray(trace.ys[t - 1], dtype=np.float64)
-        y_minus = np.delete(y_t, component_index)
-        w_t = y_minus ** 2
-
-        px = _perp(x_basis, x_t)
-        pxn = float(np.linalg.norm(px))
-        proj_x[t - 1] = pxn
-        par = x_t - px
-        max_ident_err = max(max_ident_err,
-                            abs(pxn ** 2 + float(par @ par) - float(x_t @ x_t)))
-        prog_abs[t - 1] = abs(float(a1 @ x_t))
-        prog_orth[t - 1] = float(a1 @ px)
-
-        if t >= 2:
-            w_prev = all_w[t - 2]
-            pw = _perp(w_basis, w_prev)
-            proj_w[t - 1] = float(np.linalg.norm(pw))
-            proj_w_inf[t - 1] = float(np.max(np.abs(pw))) if pw.size else 0.0
-            _append_orth(w_basis, w_prev)
-
-            unnorm = trace.unnormalized_norms[t - 1]
-            if np.isfinite(unnorm):
-                u_t = _perp(xu_basis, unnorm * x_t)
-                u_norm[t - 1] = float(np.linalg.norm(u_t))
-                _append_orth(xu_basis, x_t)
-                _append_orth(xu_basis, u_t)
-            else:
-                _append_orth(xu_basis, x_t)
-            v_norm[t - 1] = v_norms_seen[t - 2]
-        else:
-            _append_orth(xu_basis, x_t)
-
-        v_t = _perp(wv_basis, y_minus)
-        v_norms_seen.append(float(np.linalg.norm(v_t)))
-        _append_orth(wv_basis, w_t)
-        _append_orth(wv_basis, v_t)
-        all_w.append(w_t)
-
-    report = HypothesisReport(
-        d=d, k=k, component_index=component_index,
-        proj_x_norm=proj_x, proj_w_norm=proj_w, proj_w_inf=proj_w_inf,
-        progress_abs=prog_abs, progress_orth=prog_orth,
-        u_norm=u_norm, v_norm=v_norm,
-        projection_identity_max_err=float(max_ident_err),
-    )
-    if envelopes is not None:
-        report.envelope_flags = check_within_envelopes(report, envelopes)
-    return report
-
-
-def _envelope_samples(report):
-    """Scale the monitored quantities to their natural dimensionless units."""
-    d, k = report.d, report.k
-    sk_d = math.sqrt(k) / d
-    return {
-        "proj_x": report.proj_x_norm,
-        "proj_w_l2": report.proj_w_norm / sk_d,
-        "proj_w_inf": report.proj_w_inf * d,
-        "u": report.u_norm / sk_d,
-        "v": report.v_norm / math.sqrt(k / d),
-    }
-
-
-def fit_hypothesis_envelopes(reports, slack=0.25):
-    """Fit per-quantity high/low envelopes across many monitored runs.
-
-    The bounds the analysis states for these quantities carry unspecified
-    slowly-growing constants, so no universal values are asserted; instead
-    the observed range across seeds (widened by ``slack``) is reported as a
-    regression baseline for later runs.
-    """
-    if not reports:
-        raise InvalidArgumentError("need at least one report to fit")
-    d, k = reports[0].d, reports[0].k
-    if any(r.d != d or r.k != k for r in reports):
-        raise InvalidArgumentError("envelope fits are per (d, k)")
-    pooled = {}
-    for rep in reports:
-        for name, vals in _envelope_samples(rep).items():
-            finite = np.asarray(vals)[np.isfinite(vals)]
-            if finite.size:
-                pooled.setdefault(name, []).append(finite)
-    bands = {}
-    for name, chunks in pooled.items():
-        allv = np.concatenate(chunks)
-        lo, hi = float(allv.min()), float(allv.max())
-        bands[name] = [lo / (1.0 + slack), hi * (1.0 + slack)]
-    quad = [r.quadratic_progress_ok() for r in reports]
-    return {
-        "d": d,
-        "k": k,
-        "n_reports": len(reports),
-        "slack": slack,
-        "bands": bands,
-        "quadratic_pass_fraction": float(np.mean(quad)) if quad else 0.0,
-    }
-
-
-def check_within_envelopes(report, fit):
-    """Flag, per quantity, whether a report stays inside fitted envelopes."""
-    if report.d != fit["d"] or report.k != fit["k"]:
-        raise InvalidArgumentError("envelope fit is for a different (d, k)")
-    flags = {}
-    for name, vals in _envelope_samples(report).items():
-        if name not in fit["bands"]:
-            continue
-        lo, hi = fit["bands"][name]
-        finite = np.asarray(vals)[np.isfinite(vals)]
-        flags[name] = bool(finite.size == 0
-                           or ((finite >= lo) & (finite <= hi)).all())
-    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +246,8 @@ class ConditioningCheck:
         if self.sample_count < 100:
             raise InvalidArgumentError("need at least 100 samples")
 
-    def to_json(self, path=None):
-        doc = {k: v for k, v in self.__dict__.items()}
-        if path is None:
-            return doc
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
+    def to_json(self):
+        return dict(self.__dict__)
 
 
 def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
@@ -626,11 +359,11 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
     )
 
 
-def check_iterative_conditioning(d, k, constraint_chain_length, trials, seed,
+def check_iterative_conditioning(d, k, chain_length, trials, seed,
                                  sigma2=1.0, threads=None):
     """Verify conditioning under a chain of alternating linear constraints.
 
-    Builds a chain of length ``constraint_chain_length`` (right, left,
+    Builds a chain of length ``chain_length`` (right, left,
     right, ...) mirroring how power-update conditioning alternates between
     iterate and squared-projection constraints, samples the conditional via
     the generic joint-normality sampler, and checks three things about the
@@ -642,14 +375,14 @@ def check_iterative_conditioning(d, k, constraint_chain_length, trials, seed,
     * the residual variance in the unconstrained directions equals sigma2,
       pooled (4 SE) and per position (4 SE), with the pooled ratio reported.
     """
-    if not 1 <= constraint_chain_length <= 5:
+    if not 1 <= chain_length <= 5:
         raise InvalidArgumentError("constraint chain length must be in [1, 5]")
     if trials < 100:
         raise InvalidArgumentError("need at least 100 trials")
     d, k = int(d), int(k)
     rng0 = stream(seed, 410)
     chain = ConstraintChain(d, k, sigma2)
-    for step in range(constraint_chain_length):
+    for step in range(chain_length):
         if step % 2 == 0:
             vvec = rng0.standard_normal(k)
             uvec = _perp(chain.col_basis, rng0.standard_normal(d))
@@ -720,7 +453,7 @@ def check_iterative_conditioning(d, k, constraint_chain_length, trials, seed,
     return ConditioningCheck(
         kind="iterative-chain",
         sample_count=trials, d=d, k=k, sigma2=float(sigma2),
-        chain_length=constraint_chain_length,
+        chain_length=chain_length,
         se_band=_SE_BAND,
         mean_max_z=mean_max_z,
         mean_max_abs_dev=float(np.max(np.abs(mean_emp))),
@@ -765,14 +498,8 @@ class FreshRandomnessReport:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def to_json(self, path=None):
-        doc = {key: val for key, val in self.__dict__.items()}
-        if path is None:
-            return doc
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
+    def to_json(self):
+        return dict(self.__dict__)
 
 
 _SHIFT_KINDS = ("zero", "dense", "spiky", "random")
@@ -882,14 +609,8 @@ class MixedNormReport:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def to_json(self, path=None):
-        doc = {key: val for key, val in self.__dict__.items()}
-        if path is None:
-            return doc
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
+    def to_json(self):
+        return dict(self.__dict__)
 
 
 def check_mixed_norm_bound(d, k, trials, seed, threads=None):
@@ -957,3 +678,45 @@ def check_mixed_norm_bound(d, k, trials, seed, threads=None):
             "envelope": "10 * ln(d) * sqrt(k/d)",
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# spherical-GMM modified moment
+
+
+def check_gmm_moment(d, k, sigma, seed, n=0, analytic_tol=1e-12, empirical_tol=0.05,
+                     threads=None):
+    """Check that the spherical-GMM modified moment equals the factored
+    tensor sum_j w_j a_j (x)3 of its means: the population form to
+    ``analytic_tol`` in max entry, and, for n > 0, the moment of n samples to
+    ``empirical_tol`` in Frobenius norm.  Returns a JSON-ready dict.
+
+    ``threads`` is accepted so every probe check takes the same arguments;
+    this check runs on the calling thread.
+    """
+    sigma = float(sigma)
+    comps = random_components(d, k, seed=seed)
+    priors = np.full(k, 1.0 / k)
+    gmm = SphericalGmm(comps, priors, sigma)
+    target = densify(FactoredTensor3(comps, priors)).entries
+    analytic = gmm_population_modified_moment(gmm).entries
+    analytic_dev = float(np.max(np.abs(analytic - target)))
+    analytic_tol = float(analytic_tol)
+    out = {
+        "check": "gmm-moment",
+        "d": d, "k": k, "sigma": sigma,
+        "analytic_max_dev": analytic_dev,
+        "analytic_tol": analytic_tol,
+        "analytic_ok": analytic_dev <= analytic_tol,
+    }
+    passed = out["analytic_ok"]
+    if n:
+        samples, _ = sample_gmm(gmm, n, seed=seed)
+        emp = gmm_modified_moment(gmm, samples).entries
+        frob = float(np.linalg.norm((emp - target).ravel()))
+        tol = float(empirical_tol)
+        out.update({"n": n, "empirical_frobenius_dev": frob,
+                    "empirical_tol": tol, "empirical_ok": frob <= tol})
+        passed = passed and out["empirical_ok"]
+    out["passed"] = bool(passed)
+    return out

@@ -169,3 +169,44 @@ def test_import_and_load_config_do_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_BASE = {"schema": 1, "kind": "dynamics", "d": 10, "k": 12, "init_correlation": [0.3, 0.4]}
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(dict(_BASE, d="abc"), id="d-string"),
+    pytest.param(dict(_BASE, d=None), id="d-null"),
+    # would run at d = 10 while hashing 10.7
+    pytest.param(dict(_BASE, d=10.7), id="d-fraction"),
+    pytest.param(dict(_BASE, init_correlation=[0.3, "a"]), id="init-correlation-string"),
+    pytest.param(dict(_BASE, power={"max_iters": "5"}), id="max-iters-string"),
+    pytest.param(dict(_BASE, power=[1]), id="power-list"),
+    pytest.param(dict(_BASE, seeds=[1]), id="seeds-list"),
+    pytest.param(dict(_BASE, accept=[1]), id="accept-list"),
+    pytest.param(dict(_BASE, kind="noise-sweep", noise_norm_factors="ab"), id="factors-string"),
+    pytest.param({"schema": 1, "kind": "probe", "checks": [1]}, id="probe-check-number"),
+    pytest.param({"schema": 1, "kind": "sample-complexity", "d": 5, "k": 6, "zeta": 0.05,
+                  "sample_sizes": 100}, id="sample-sizes-number"),
+    pytest.param({"schema": 1, "kind": "recovery", "d": 5, "k": 6, "inits": "xyz"},
+                 id="inits-string"),
+])
+def test_malformed_config_exits_two(tmp_path, capsys, doc):
+    command = {"dynamics": "dynamics", "noise-sweep": "dynamics", "probe": "probe"}.get(
+        doc["kind"], "decompose")
+    rc = cli([command, "--config", _write(tmp_path, "bad.json", doc),
+              "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("base", [4, 7])
+def test_degenerate_tensor_exits_two(tmp_path, capsys, base):
+    # d = 1, k = 2 at these seeds draws components +1 and -1 with unit
+    # weights, so T = 0 and the first power update vanishes
+    doc = {"schema": 1, "kind": "recovery", "d": 1, "k": 2, "seeds": {"count": 1, "base": base}}
+    rc = cli(["decompose", "--config", _write(tmp_path, "zero.json", doc),
+              "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error: " in capsys.readouterr().err

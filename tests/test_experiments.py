@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,3 +291,23 @@ def test_noise_tensor_holds_one_d_cubed_buffer():
         tracemalloc.stop()
     slab_bytes = (experiments._NOISE_SLAB // (d * d)) * d * d * 8
     assert peak <= d ** 3 * 8 + slab_bytes + 2 ** 20
+
+
+# config_hash of every frozen config: a schema change that inserts or drops a
+# default changes what a stored run hashes to, so these stay fixed
+FROZEN_HASHES = {
+    "accept1_orthogonal_recovery": "a9bbcc4790427cc35a77c60fda67e878d73d59924a617f6eea41eb721be39775",
+    "accept2_overcomplete_dynamics": "2e8979eb93451df6bbca8c57eba4699c5e930bffe56c81bf072fa95cda14124a",
+    "accept4_noise_tolerance": "db4f1fc8c2ada923ff31cd7bb7c66dcdeda0429a564df046d39d824407b6e1bb",
+    "accept5_multiview_learning": "1d728f03b4782ef69b02a39b6b5f1af6998d0117bfb8e23063f336168e43b706",
+    "accept6_sample_complexity": "b10aab02165a03a43d133f19c73726cba33704bf834108263bd2604730008b20",
+    "accept7_gmm_moments": "fa73448f058be806fbde7fb17db1d9a57a4a49c652266ba0f9ab6ab4ed097a1d",
+    "accept8_conditioning": "a4024182a908eb3ebcbb8aec1984227af9f2117ae77feb209778207a3df30f2e",
+}
+
+
+def test_frozen_config_hashes_are_pinned():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert {p.stem for p in configs.glob("*.json")} == set(FROZEN_HASHES)
+    for stem, expected in FROZEN_HASHES.items():
+        assert load_config(configs / f"{stem}.json").config_hash == expected, stem

@@ -2,21 +2,17 @@ import numpy as np
 import pytest
 
 from tpi.errors import InvalidArgumentError
-from tpi.power import PowerConfig, run_power
 from tpi.probes import (
     ConstraintChain,
     check_conditioning_lemma,
     check_fresh_randomness,
     check_iterative_conditioning,
     check_mixed_norm_bound,
-    check_within_envelopes,
-    fit_hypothesis_envelopes,
-    monitor_hypotheses,
     quadratic_progress_ok,
     star_norm,
 )
 from tpi.rng import stream
-from tpi.tensors import FactoredTensor3, random_components
+from tpi.tensors import random_components
 
 
 # ---------------------------------------------------------------------------
@@ -75,75 +71,6 @@ def test_quadratic_progress_step_to_saturation_passes():
     assert quadratic_progress_ok([0.45, 1.0], d, k)
     # a step that falls short of both the squared law and saturation fails
     assert not quadratic_progress_ok([0.45, 0.45], d, k)
-
-
-# ---------------------------------------------------------------------------
-# hypothesis monitoring
-
-
-def full_trace(seed, d=100, k=300, iters=8, c0=0.35):
-    A = random_components(d, k, seed=seed)
-    T = FactoredTensor3(A, np.ones(k))
-    rng = stream(seed, 90)
-    g = rng.standard_normal(d)
-    g -= (g @ A[:, 0]) * A[:, 0]
-    g /= np.linalg.norm(g)
-    x0 = c0 * A[:, 0] + np.sqrt(1 - c0 * c0) * g
-    cfg = PowerConfig(max_iters=iters, convergence_gamma=1e-12, trace_level="full",
-                      track_target=0)
-    return run_power(T, x0, cfg, ground_truth=T), T
-
-
-def test_monitor_basic_invariants():
-    trace, T = full_trace(0)
-    rep = monitor_hypotheses(trace, T, component_index=0)
-    n = len(trace)
-    assert len(rep) == n
-    assert rep.proj_x_norm[0] == 1.0  # nothing to project out at t=1
-    assert rep.projection_identity_max_err < 1e-10
-    assert np.isnan(rep.proj_w_norm[0]) and np.isnan(rep.v_norm[0])
-    assert np.all(rep.proj_x_norm[~np.isnan(rep.proj_x_norm)] <= 1 + 1e-12)
-    assert np.all(rep.proj_w_norm[1:] >= 0)
-    assert abs(rep.progress_abs[0] - 0.35) < 1e-12
-    recs = rep.records()
-    assert len(recs) == n
-    assert recs[0]["iteration"] == 1
-    doc = rep.to_json()
-    assert doc["d"] == 100 and len(doc["records"]) == n
-
-
-def test_monitor_requires_full_trace():
-    A = random_components(30, 60, seed=1)
-    T = FactoredTensor3(A, np.ones(60))
-    x0 = A[:, 0]
-    trace = run_power(T, x0, PowerConfig(max_iters=3, convergence_gamma=1e-12))
-    with pytest.raises(InvalidArgumentError):
-        monitor_hypotheses(trace, T)
-
-
-def test_monitor_component_index_bounds():
-    trace, T = full_trace(2, iters=3)
-    with pytest.raises(InvalidArgumentError):
-        monitor_hypotheses(trace, T, component_index=300)
-
-
-def test_envelope_fit_and_check():
-    reports = []
-    for seed in range(6):
-        trace, T = full_trace(seed, iters=6)
-        reports.append(monitor_hypotheses(trace, T))
-    fit = fit_hypothesis_envelopes(reports, slack=0.25)
-    assert fit["n_reports"] == 6
-    assert set(fit["bands"]) >= {"proj_x", "proj_w_l2", "proj_w_inf", "u", "v"}
-    for lo, hi in fit["bands"].values():
-        assert lo <= hi
-    for rep in reports:
-        flags = check_within_envelopes(rep, fit)
-        assert all(flags.values())
-    # a fresh seed should sit inside the widened bands too
-    trace, T = full_trace(17, iters=6)
-    flags = check_within_envelopes(monitor_hypotheses(trace, T), fit)
-    assert all(flags.values())
 
 
 # ---------------------------------------------------------------------------
