@@ -325,7 +325,7 @@ def _component_tensor(cfg, seed):
             raise InvalidArgumentError("orthonormal components need k <= d")
         comps = np.linalg.qr(stream(seed, 610).standard_normal((d, k)))[0]
     else:
-        comps = random_components(d, k, seed=seed, distribution=kind)
+        comps = random_components(d, k, seed=seed)
     w_spec = cfg.get("weights", 1.0)
     if isinstance(w_spec, (list, tuple)):
         lo, hi = w_spec
@@ -607,9 +607,11 @@ def _eval_recovery_accept(acc, metrics, k):
 
 def _run_recovery(config, threads):
     # match_and_score imports scipy.optimize on first use.  Import it here,
-    # before any sample batch exists: imported after one, its modules were
-    # left above the freed batch memory, and a 3-seed multiview run at
-    # d=50, n=20000 peaked at 126 MB RSS instead of 121 MB.
+    # before any sample batch exists: imported after one, its modules can be
+    # left above freed batch memory.  A 3-seed multiview run at d=50,
+    # n=20000 peaked at 126 MB RSS instead of 119 MB while each view's noise
+    # was drawn as a second view-sized array; with the noise added in place
+    # it peaks at 107.2 MB imported late and 107.1 MB imported here.
     import scipy.optimize  # noqa: F401
 
     cfg = config.data
@@ -759,7 +761,7 @@ def _by_source(tensor=None, multiview=None):
 
 _POWER = _dataclass_spec(PowerConfig, skip={"track_target"})
 _CLUSTER = _dataclass_spec(ClusterConfig)
-_COMPONENTS = _choice("unit-sphere", "gaussian", "orthonormal")
+_COMPONENTS = _choice("unit-sphere", "orthonormal")
 _WEIGHTS = _either(NUM, _list_of(NUM, 2))
 _DYNAMICS = {
     **_DK, "init_correlation": (_list_of(NUM, 2), _REQUIRED), "power": _POWER,

@@ -35,6 +35,9 @@ _SAMPLE_CHUNK = 1024
 # at most this many doubles (1 MB): a vector takes 128 chunks per group, a
 # 32-column block 4 and a block of more than 64 columns 1.
 _GROUP_DOUBLES = 1 << 17
+# Sample noise is drawn, and SNR residuals are formed, in slabs of at most this
+# many doubles (1 MB), so neither holds a second array the size of a view.
+_SLAB = 1 << 17
 
 
 def _check_simplex(priors, k):
@@ -91,9 +94,6 @@ class MixtureModel:
     @property
     def is_asymmetric(self):
         return len(self.factors) == 3
-
-    def prior_ratio(self):
-        return float(self.priors.max() / self.priors.min())
 
 
 class SampleBatch:
@@ -157,28 +157,53 @@ class SphericalGmm:
             raise InvalidArgumentError("sigma must be >= 0")
 
 
+def _add_noise(Z, scale, rng):
+    """Z += scale * rng.standard_normal(Z.shape), in place, one slab at a time.
+
+    Z is C-ordered.  Each slab is the next stretch of the C-order draw, taken
+    from the stream in order, so the bytes are those of the one-shot draw.
+    """
+    flat = Z.reshape(-1)
+    buf = np.empty(min(_SLAB, flat.size))
+    for lo in range(0, flat.size, _SLAB):
+        g = buf[: min(_SLAB, flat.size - lo)]
+        rng.standard_normal(out=g)
+        g *= scale
+        flat[lo : lo + g.size] += g
+
+
 def sample_multiview(model, n, seed):
-    """Draw n multiview samples; returns a SampleBatch with labels."""
+    """Draw n multiview samples; returns a SampleBatch with labels.
+
+    Each view is built in place: the columns F[:, h] are gathered into a
+    C-ordered d x n array and the noise is added to it one slab of at most
+    ``_SLAB`` doubles at a time, so the draw holds the batch and one slab.
+    """
     if n < 1:
         raise InvalidArgumentError("need n >= 1")
     rng = stream(seed, 301)
     h = rng.choice(model.rank, size=n, p=model.priors)
     views = []
     for l in range(model.views):
-        Z = model.factor_for_view(l)[:, h].copy()
+        Z = np.take(model.factor_for_view(l), h, axis=1)
         if model.noise_scale > 0:
-            Z += model.noise_scale * rng.standard_normal((model.dim, n))
+            _add_noise(Z, model.noise_scale, rng)
         views.append(Z)
     return SampleBatch(views, labels=h)
 
 
 def sample_gmm(gmm, n, seed):
-    """Draw n spherical-GMM samples; returns (d x n matrix, labels)."""
+    """Draw n spherical-GMM samples; returns (d x n matrix, labels).
+
+    Built in place like a multiview view: the draw holds the samples and one
+    noise slab.
+    """
     if n < 1:
         raise InvalidArgumentError("need n >= 1")
     rng = stream(seed, 302)
     h = rng.choice(gmm.priors.size, size=n, p=gmm.priors)
-    Z = gmm.means[:, h] + gmm.sigma * rng.standard_normal((gmm.means.shape[0], n))
+    Z = np.take(gmm.means, h, axis=1)
+    _add_noise(Z, gmm.sigma, rng)
     return Z, h
 
 
@@ -245,16 +270,23 @@ class SampleTensor3:
         return self._Z1.shape[0]
 
     def contract_1(self, v, w):
-        V = np.reshape(v, (self.dim, -1))
-        W = np.reshape(w, (self.dim, -1))
+        d = self.dim
+        V = np.reshape(v, (d, -1))
+        W = np.reshape(w, (d, -1))
+        m = V.shape[1]
         acc = np.zeros(V.shape)
-        group = max(1, _GROUP_DOUBLES // (max(_SAMPLE_CHUNK, self.dim) * V.shape[1]))
+        group = max(1, _GROUP_DOUBLES // (max(_SAMPLE_CHUNK, d) * m))
+        # The group temporaries are allocated once per call: allocated per
+        # group, the allocator can hand them back to the OS every time.
+        u_buf, t_buf = np.empty((2, group * _SAMPLE_CHUNK * m))
+        p_buf = np.empty(group * d * m)
         for Z1, Z2, Z3 in self._stacks:
             for lo in range(0, len(Z1), group):
                 s = slice(lo, lo + group)
-                u = Z2[s].mT @ V
-                u *= Z3[s].mT @ W
-                for product in Z1[s] @ u:
+                g, c = min(group, len(Z1) - lo), Z1.shape[2]
+                u = np.matmul(Z2[s].mT, V, out=u_buf[: g * c * m].reshape(g, c, m))
+                u *= np.matmul(Z3[s].mT, W, out=t_buf[: g * c * m].reshape(g, c, m))
+                for product in np.matmul(Z1[s], u, out=p_buf[: g * d * m].reshape(g, d, m)):
                     acc += product
         return (acc / self._n).reshape(np.shape(v))
 
@@ -322,13 +354,26 @@ def snr(batch, model):
     """Measured SNR of view 1: 1 / mean ||z - a_h||, plus the spherical theory value.
 
     Needs labels (evaluation context).  Returns infinity for a noiseless
-    batch, as a distinguished value.
+    batch, as a distinguished value.  The residual norms are taken one slice
+    of at most ``_SLAB`` doubles at a time, so no view-sized residual exists.
     """
     if batch.labels is None:
         raise InvalidArgumentError("snr needs a labeled batch")
-    F = model.factor_for_view(0)
-    resid = batch.views[0] - F[:, batch.labels]
-    mean_noise = float(np.mean(np.linalg.norm(resid, axis=0)))
+    F, Z, labels = model.factor_for_view(0), batch.views[0], batch.labels
+    d, n = Z.shape
+    norms = np.empty(n)
+    step = max(2, _SLAB // d)
+    for lo in range(0, n, step):
+        # numpy sums a one-column slice pairwise, not row by row as it does a
+        # wider one, so a last slice of one column is widened to two
+        s = slice(max(0, min(lo, n - 2)), lo + step)
+        # the arithmetic of np.linalg.norm(Z - F[:, labels], axis=0), in one buffer
+        resid = np.take(F, labels[s], axis=1)
+        np.subtract(Z[:, s], resid, out=resid)
+        resid *= resid
+        norms[s] = np.add.reduce(resid, axis=0)
+        del resid  # freed before the next slice is gathered
+    mean_noise = float(np.mean(np.sqrt(norms, out=norms)))
     zeta = model.noise_scale
     theo = float("inf") if zeta == 0 else 1.0 / (zeta * np.sqrt(model.dim))
     emp = float("inf") if mean_noise == 0 else 1.0 / mean_noise

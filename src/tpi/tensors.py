@@ -266,22 +266,13 @@ def symmetrize(entries):
     return DenseTensor3(out, symmetric=True, check=False)
 
 
-def random_components(d, k, seed, distribution="unit-sphere"):
-    """Draw a d x k component matrix.
-
-    ``unit-sphere`` columns are i.i.d. uniform on the sphere (exactly unit
-    norm); ``gaussian`` columns are raw N(0, I/d) draws whose norms merely
-    concentrate near 1.
-    """
+def random_components(d, k, seed):
+    """Draw a d x k component matrix whose columns are i.i.d. uniform on the
+    unit sphere (exactly unit norm)."""
     if d < 1 or k < 1:
         raise InvalidArgumentError("need d >= 1 and k >= 1")
-    rng = stream(seed, 101)
-    G = rng.standard_normal((d, k))
-    if distribution == "unit-sphere":
-        return G / np.linalg.norm(G, axis=0)
-    if distribution == "gaussian":
-        return G / np.sqrt(d)
-    raise InvalidArgumentError(f"unknown distribution {distribution!r}")
+    G = stream(seed, 101).standard_normal((d, k))
+    return G / np.linalg.norm(G, axis=0)
 
 
 def spectral_norm_estimate(tensor, restarts=8, iters=20, seed=0):

@@ -190,6 +190,9 @@ _BASE = {"schema": 1, "kind": "dynamics", "d": 10, "k": 12, "init_correlation": 
                   "sample_sizes": 100}, id="sample-sizes-number"),
     pytest.param({"schema": 1, "kind": "recovery", "d": 5, "k": 6, "inits": "xyz"},
                  id="inits-string"),
+    # columns that are not unit norm cannot make a factored tensor
+    pytest.param({"schema": 1, "kind": "recovery", "d": 8, "k": 5, "components": "gaussian"},
+                 id="components-gaussian"),
 ])
 def test_malformed_config_exits_two(tmp_path, capsys, doc):
     command = {"dynamics": "dynamics", "noise-sweep": "dynamics", "probe": "probe"}.get(

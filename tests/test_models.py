@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chi
 
+from tpi import models
 from tpi.errors import InvalidArgumentError
 from tpi.models import (
     MixtureModel,
@@ -161,6 +164,86 @@ def test_sample_tensor_stacked_chunks_match_chunk_loop_bitwise(n):
         oracle = chunk_loop_contraction(batch, v, w)
         assert out.shape == oracle.shape
         assert out.tobytes() == oracle.tobytes(), m
+
+
+def one_shot_multiview(model, n, seed):
+    """sample_multiview as one gather and one d x n noise draw per view."""
+    rng = stream(seed, 301)
+    h = rng.choice(model.rank, size=n, p=model.priors)
+    views = []
+    for l in range(model.views):
+        Z = model.factor_for_view(l)[:, h].copy()
+        if model.noise_scale > 0:
+            Z += model.noise_scale * rng.standard_normal((model.dim, n))
+        views.append(Z)
+    return SampleBatch(views, labels=h)
+
+
+def one_shot_gmm(gmm, n, seed):
+    """sample_gmm as one gather and one d x n noise draw."""
+    rng = stream(seed, 302)
+    h = rng.choice(gmm.priors.size, size=n, p=gmm.priors)
+    return gmm.means[:, h] + gmm.sigma * rng.standard_normal((gmm.means.shape[0], n)), h
+
+
+def one_shot_snr_mean_noise(batch, model):
+    """snr's mean residual norm from one view-sized residual."""
+    resid = batch.views[0] - model.factor_for_view(0)[:, batch.labels]
+    return float(np.mean(np.linalg.norm(resid, axis=0)))
+
+
+# (d, n, noise): d * n > 2**17 with slabs that start mid-row, n not a multiple
+# of the residual slice (8192 columns at d = 16, so 8193 and 16385 end in a
+# one-column slice), tiny n, and noise 0
+@pytest.mark.parametrize("d, n, noise", [
+    (15, 100000, 0.1), (16, 8193, 0.05), (16, 16385, 0.2), (7, 333, 0.2),
+    (9, 1, 0.1), (9, 2, 0.1), (5, 10, 0.0), (3, 200000, 0.0),
+])
+def test_sampling_and_snr_match_one_shot_oracles_bitwise(d, n, noise):
+    k = 6
+    A = random_components(d, k, seed=d)
+    priors = np.arange(1, k + 1) / (k * (k + 1) / 2)
+    model = MixtureModel(A, priors, noise_scale=noise)
+    batch, oracle = sample_multiview(model, n, seed=n), one_shot_multiview(model, n, seed=n)
+    assert np.array_equal(batch.labels, oracle.labels)
+    for V, W in zip(batch.views, oracle.views):
+        assert V.flags.c_contiguous and V.tobytes() == W.tobytes()
+    if noise > 0:
+        assert snr(batch, model).empirical == 1.0 / one_shot_snr_mean_noise(batch, model)
+    gmm = SphericalGmm(A, priors, noise)
+    (Z, h), (Zo, ho) = sample_gmm(gmm, n, seed=n), one_shot_gmm(gmm, n, seed=n)
+    assert np.array_equal(h, ho) and Z.tobytes() == Zo.tobytes()
+
+
+def test_snr_one_column_last_slice_matches_one_shot_oracle():
+    # at d = 4096 a residual slice holds 32 columns, so n = 33 leaves one
+    # column over; numpy would sum it pairwise, and on some of these seeds
+    # that moves the mean in its last bit
+    d, k, n = 4096, 6, 33
+    for seed in range(20):
+        model = MixtureModel(random_components(d, k, seed=seed), np.full(k, 1.0 / k),
+                             noise_scale=0.1)
+        batch = sample_multiview(model, n, seed=seed)
+        assert snr(batch, model).empirical == 1.0 / one_shot_snr_mean_noise(batch, model), seed
+
+
+def test_sample_draw_and_snr_hold_one_slab_over_the_batch():
+    # the one-shot versions peak at 1.33x (draw) and 1.67x (snr) of this batch
+    d, k, n = 50, 100, 20000
+    model = MixtureModel(random_components(d, k, seed=47), np.full(k, 1.0 / k), noise_scale=0.05)
+    bound_over = models._SLAB * 8 + 2 ** 20
+    tracemalloc.start()
+    try:
+        batch = sample_multiview(model, n, seed=47)
+        batch_bytes = sum(V.nbytes for V in batch.views) + batch.labels.nbytes
+        _current, draw_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        snr(batch, model)
+        _current, snr_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draw_peak <= batch_bytes + bound_over
+    assert snr_peak <= batch_bytes + bound_over
 
 
 def test_batch_save_load_round_trip(tmp_path):
