@@ -9,10 +9,8 @@ from .decompose import (
     DecompositionResult,
     MatchReport,
     decompose,
-    estimate_weight,
     learn_multiview,
     match_and_score,
-    refit_weights,
 )
 from .errors import DegenerateIterateError, InvalidArgumentError, ResourceBudgetError
 from .experiments import (
@@ -30,8 +28,6 @@ from .models import (
     SampleTensor3,
     SnrReport,
     SphericalGmm,
-    chi_mean,
-    check_weak_rip,
     empirical_third_moment,
     gmm_modified_moment,
     gmm_population_modified_moment,

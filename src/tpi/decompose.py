@@ -5,8 +5,7 @@ d x m block (one block contraction per step), then repeatedly
 (1) picks the surviving iterate maximizing |T(x, x, x)|, (2) refines it with a
 fixed number of extra power steps, (3) emits it sign-normalized so its cubic
 form is nonnegative, and (4) removes every survivor within correlation nu/2 of
-the emission.  Weights are read off the cubic form at each estimate; an
-optional joint least-squares refit is available for Frobenius-metric work.
+the emission.  Weights are read off the cubic form at each estimate.
 """
 
 from dataclasses import dataclass, field
@@ -140,26 +139,6 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
     )
 
 
-def estimate_weight(tensor, xhat):
-    """Cubic-form weight readout T(x, x, x) at a unit estimate."""
-    xhat = np.asarray(xhat, dtype=np.float64)
-    return contract_scalar(tensor, xhat, xhat, xhat)
-
-
-def refit_weights(tensor, estimates):
-    """Joint least-squares weights over all estimates.
-
-    Minimizes ||sum_i w_i x_i^(x)3 - T||_F, which reduces to the linear
-    system (Gram ** 3) w = scores with Gram_ij = <x_i, x_j> (elementwise
-    cube; positive semidefinite by the Schur product theorem).
-    """
-    E = np.asarray(estimates, dtype=np.float64)
-    M = (E.T @ E) ** 3
-    t = np.array([contract_scalar(tensor, E[:, i], E[:, i], E[:, i]) for i in range(E.shape[1])])
-    w, *_ = np.linalg.lstsq(M, t, rcond=None)
-    return w
-
-
 def learn_multiview(batch, mode, power_config=None, cluster_config=None, model=None,
                     max_inits=None):
     """End-to-end learning from a multiview batch.
@@ -223,17 +202,70 @@ def _greedy_assign(C):
             used_r[r] = used_c[c] = True
             if len(rows) == min(m, k):
                 break
-    order = np.argsort(rows)  # rows ascending, as linear_sum_assignment returns them
+    order = np.argsort(rows)  # rows ascending, as _optimal_assign returns them
     return np.array(rows)[order], np.array(cols)[order]
+
+
+def _optimal_assign(C):
+    """Maximum-weight matching of min(m, k) rows and columns of an m x k C.
+
+    Shortest augmenting paths with row and column potentials (the Hungarian
+    method in its Jonker-Volgenant form): each row joins the matching along
+    a shortest path in reduced costs, grown one column per step by one
+    vectorized pass over the k columns, so a near-permutation C costs about
+    O(mk) and an unstructured one O(m^2 k).  Returns (rows, cols) with rows
+    ascending.
+    """
+    transposed = C.shape[0] > C.shape[1]
+    cost = -(C.T if transposed else C)
+    m, k = cost.shape
+    u, v = np.zeros(m), np.zeros(k)
+    row_of = np.full(k, -1)  # row matched to each column
+    col_of = np.full(m, -1)  # column matched to each row
+    for start in range(m):
+        dist = np.full(k, np.inf)  # shortest reduced path length to each column
+        pred = np.zeros(k, dtype=int)  # row before each column on its path
+        reached = np.zeros(k, dtype=bool)
+        rows, i, low = [start], start, 0.0
+        while True:
+            r = low + cost[i] - u[i] - v
+            closer = ~reached & (r < dist)
+            dist[closer] = r[closer]
+            pred[closer] = i
+            open_dist = np.where(reached, np.inf, dist)
+            j = int(np.argmin(open_dist))
+            low = open_dist[j]
+            if row_of[j] >= 0:  # of equally near columns, prefer a free one
+                free = np.flatnonzero((open_dist == low) & (row_of < 0))
+                j = int(free[0]) if free.size else j
+            reached[j] = True
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+            rows.append(i)
+        u[start] += low
+        seen = np.array(rows[1:], dtype=int)
+        u[seen] += low - dist[col_of[seen]]
+        v[reached] -= low - dist[reached]
+        while True:  # flip the path's matched and unmatched edges
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    if transposed:
+        order = np.argsort(col_of)
+        return col_of[order], order
+    return np.arange(m), col_of
 
 
 def match_and_score(estimates, ground_truth, greedy=None):
     """Match estimate columns to truth columns, maximizing total |correlation|.
 
-    Uses the optimal assignment up to 2000 columns (greedy beyond, or when
-    ``greedy=True``).  Signs are resolved per pair; the Frobenius error is
-    computed over matched pairs only and unmatched truth columns are listed
-    in ``missed``.
+    Uses the optimal assignment (``_optimal_assign``) up to 2000 columns
+    (greedy beyond, or when ``greedy=True``).  Signs are resolved per pair;
+    the Frobenius error is computed over matched pairs only and unmatched
+    truth columns are listed in ``missed``.
     """
     E = np.asarray(estimates, dtype=np.float64)
     if E.ndim != 2 or E.shape[1] == 0:
@@ -242,12 +274,7 @@ def match_and_score(estimates, ground_truth, greedy=None):
     C = np.abs(E.T @ A)
     if greedy is None:
         greedy = max(C.shape) > _ASSIGNMENT_LIMIT
-    if greedy:
-        rows, cols = _greedy_assign(C)
-    else:
-        from scipy.optimize import linear_sum_assignment  # slow import, kept off `import tpi`
-
-        rows, cols = linear_sum_assignment(-C)
+    rows, cols = (_greedy_assign if greedy else _optimal_assign)(C)
     signs_matched = np.sign(np.sum(E[:, rows] * A[:, cols], axis=0))
     signs_matched[signs_matched == 0] = 1.0
     diff = E[:, rows] * signs_matched - A[:, cols]

@@ -606,14 +606,6 @@ def _eval_recovery_accept(acc, metrics, k):
 
 
 def _run_recovery(config, threads):
-    # match_and_score imports scipy.optimize on first use.  Import it here,
-    # before any sample batch exists: imported after one, its modules can be
-    # left above freed batch memory.  A 3-seed multiview run at d=50,
-    # n=20000 peaked at 126 MB RSS instead of 119 MB while each view's noise
-    # was drawn as a second view-sized array; with the noise added in place
-    # it peaks at 107.2 MB imported late and 107.1 MB imported here.
-    import scipy.optimize  # noqa: F401
-
     cfg = config.data
     base, count = config.seed_base, config.seed_count
     worker = (_recovery_seed_multiview if cfg["source"] == "multiview"

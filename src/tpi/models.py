@@ -17,7 +17,7 @@ up sigma^2 cross terms; the modified moment subtracts them:
 and its population value is again sum_j priors_j a_j^{(x)3}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -382,55 +382,4 @@ def snr(batch, model):
         theoretical=theo,
         noise_scale=zeta,
         expected_noise_norm=zeta * np.sqrt(model.dim),
-    )
-
-
-def chi_mean(d):
-    """E ||g|| for g ~ N(0, I_d): sqrt(2) * Gamma((d+1)/2) / Gamma(d/2)."""
-    from scipy.special import gammaln  # slow import, kept off `import tpi`
-
-    return float(np.sqrt(2.0) * np.exp(gammaln((d + 1) / 2.0) - gammaln(d / 2.0)))
-
-
-@dataclass
-class WeakRipReport:
-    """Monte Carlo surrogate for the column-subset spectral-norm condition."""
-
-    subset_size: int
-    trials: int
-    bound: float
-    max_restricted_norm: float
-    mean_restricted_norm: float
-    violations: int
-    passed: bool
-    restricted_norms: np.ndarray = field(repr=False)
-
-
-def check_weak_rip(noise_matrix, subset_size, trials, seed, bound=2.0):
-    """Sample random column subsets and check each restricted spectral norm.
-
-    A Monte Carlo stand-in for the universal quantifier "every subset of
-    ``subset_size`` columns has spectral norm <= bound".
-    """
-    E = np.asarray(noise_matrix, dtype=np.float64)
-    if E.ndim != 2:
-        raise InvalidArgumentError("noise_matrix must be 2-d")
-    n = E.shape[1]
-    if not (1 <= subset_size <= n):
-        raise InvalidArgumentError("subset_size must lie in [1, n]")
-    rng = stream(seed, 303)
-    norms = np.empty(trials)
-    for t in range(trials):
-        cols = rng.choice(n, size=subset_size, replace=False)
-        norms[t] = np.linalg.norm(E[:, cols], 2)
-    max_norm = float(norms.max())
-    return WeakRipReport(
-        subset_size=int(subset_size),
-        trials=int(trials),
-        bound=float(bound),
-        max_restricted_norm=max_norm,
-        mean_restricted_norm=float(norms.mean()),
-        violations=int(np.sum(norms > bound)),
-        passed=bool(max_norm <= bound),
-        restricted_norms=norms,
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .models import SphericalGmm, gmm_modified_moment, gmm_population_modified_moment, sample_gmm
-from .rng import map_in_order, stream
+from .rng import _one_blas_thread, map_in_order, stream
 from .tensors import FactoredTensor3, densify, random_components
 
 _SE_BAND = 4.0
@@ -250,6 +250,10 @@ class ConditioningCheck:
         return dict(self.__dict__)
 
 
+# The sampler's and the moment sums' products are long enough for OpenBLAS
+# to split across its threads, which moves their last bits; one thread keeps
+# the report the same at any BLAS thread count.
+@_one_blas_thread()
 def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
                              threads=None):
     """Verify the single-constraint Gaussian conditioning identity.
@@ -359,6 +363,7 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
     )
 
 
+@_one_blas_thread()  # as check_conditioning_lemma
 def check_iterative_conditioning(d, k, chain_length, trials, seed,
                                  sigma2=1.0, threads=None):
     """Verify conditioning under a chain of alternating linear constraints.

@@ -100,12 +100,6 @@ class FactoredTensor3:
     def rank(self):
         return self.components.shape[1]
 
-    @property
-    def weight_ratio(self):
-        """max |w_j| / min |w_j| — reported, never restricted."""
-        aw = np.abs(self.weights)
-        return float(aw.max() / aw.min())
-
     def contract_1(self, v, w):
         pb = self.components_b.T @ v
         pc = self.components_c.T @ w

@@ -160,15 +160,33 @@ def test_one_dimensional_dynamics_exits_two(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_import_and_load_config_do_not_import_scipy():
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import json, sys, tpi\n"
-            f"tpi.load_config(json.loads({json.dumps(json.dumps(REC))}))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import json, sys, tpi\n" + code
+            + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_and_load_config_do_not_import_scipy():
+    code = f"tpi.load_config(json.loads({json.dumps(json.dumps(REC))}))\n"
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_recovery_and_sample_complexity_runs_do_not_import_scipy(tmp_path):
+    # both runs match estimates to the truth with match_and_score
+    multiview = {"schema": 1, "kind": "recovery", "d": 8, "k": 12, "source": "multiview",
+                 "zeta": 0.05, "n": 500, "inits": 20, "tensor_mode": "implicit-samples"}
+    pooled = {"schema": 1, "kind": "sample-complexity", "d": 6, "k": 8, "zeta": 0.05,
+              "sample_sizes": [200, 400], "compare_decomposition": {"n": 1000, "inits": 10}}
+    code = "".join(
+        f"tpi.run_experiment(tpi.load_config(json.loads({json.dumps(json.dumps(doc))}), "
+        f"out={str(tmp_path / name)!r}))\n"
+        for name, doc in (("multiview", multiview), ("pooled", pooled)))
+    assert _scipy_modules_after(code) == "[]"
 
 
 _BASE = {"schema": 1, "kind": "dynamics", "d": 10, "k": 12, "init_correlation": [0.3, 0.4]}

@@ -2,14 +2,14 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from tpi.decompose import (
     ClusterConfig,
+    _optimal_assign,
     decompose,
-    estimate_weight,
     learn_multiview,
     match_and_score,
-    refit_weights,
 )
 from tpi.errors import InvalidArgumentError
 from tpi.models import MixtureModel, sample_multiview
@@ -72,31 +72,6 @@ def test_max_components_cap():
     res = decompose(T, column_noise_inits(A, 0.1, 63), PowerConfig(max_iters=30),
                     ClusterConfig(max_components=3))
     assert res.n_components == 3
-
-
-def test_weight_readout_and_refit_on_exact_orthogonal():
-    d = 7
-    A = orthonormal(d, d, 64)
-    lam = np.linspace(1.0, 3.0, d)
-    T = FactoredTensor3(A, lam)
-    # at the true components the cubic form reads the weight exactly
-    for j in range(d):
-        assert abs(estimate_weight(T, A[:, j]) - lam[j]) < 1e-12
-    w = refit_weights(T, A)
-    assert np.max(np.abs(w - lam)) < 1e-10
-
-
-def test_refit_weights_overcomplete():
-    # non-orthogonal estimates: joint refit undoes the cross-talk that the
-    # pointwise cubic readout suffers
-    d, k = 10, 14
-    A = random_components(d, k, seed=65)
-    lam = stream(65, 53).uniform(1.0, 2.0, size=k)
-    T = FactoredTensor3(A, lam)
-    w = refit_weights(T, A)
-    assert np.max(np.abs(w - lam)) < 1e-8
-    point = np.array([estimate_weight(T, A[:, j]) for j in range(k)])
-    assert np.max(np.abs(point - lam)) > 1e-3
 
 
 def test_match_and_score_permutation_and_signs():
@@ -163,6 +138,44 @@ def test_match_and_score_switches_to_greedy_above_limit(monkeypatch):
     monkeypatch.setattr(sys.modules["tpi.decompose"], "_ASSIGNMENT_LIMIT", 1)
     assert list(match_and_score(E, T).permutation) == [0, 1]
     assert list(match_and_score(E, T, greedy=False).permutation) == [1, 0]
+
+
+@pytest.mark.parametrize("m, k", [(7, 12), (12, 7), (1, 9), (9, 1), (10, 10), (30, 45)])
+def test_optimal_assign_equals_scipy(m, k):
+    for seed in range(20):
+        C = np.abs(stream(seed, 54, m, k).standard_normal((m, k)))
+        rows, cols = _optimal_assign(C)
+        ref_rows, ref_cols = linear_sum_assignment(-C)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+
+def test_optimal_assign_equals_scipy_on_near_permutation():
+    # 1149 noisy estimates of distinct columns out of 1200, as in a large
+    # overcomplete recovery run; and the transpose, with more rows than columns
+    d, k, m = 100, 1200, 1149
+    rng = stream(0, 55)
+    A = rng.standard_normal((d, k))
+    A /= np.linalg.norm(A, axis=0)
+    E = A[:, rng.permutation(k)[:m]] + 0.1 * rng.standard_normal((d, m))
+    E /= np.linalg.norm(E, axis=0)
+    C = np.abs(E.T @ A)
+    for mat in (C, C.T):
+        rows, cols = _optimal_assign(mat)
+        ref_rows, ref_cols = linear_sum_assignment(-mat)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+
+def test_optimal_assign_total_is_optimal_with_ties():
+    # entries in {0, 1, 2}: many optimal assignments, all of the same total
+    for seed in range(200):
+        rng = stream(seed, 56)
+        m, k = (int(n) for n in rng.integers(1, 9, size=2))
+        C = rng.integers(0, 3, size=(m, k)).astype(np.float64)
+        rows, cols = _optimal_assign(C)
+        ref_rows, ref_cols = linear_sum_assignment(-C)
+        assert C[rows, cols].sum() == C[ref_rows, ref_cols].sum()
+        assert len(rows) == min(m, k) and np.all(np.diff(rows) > 0)
+        assert len(set(cols.tolist())) == len(cols)
 
 
 def test_learn_multiview_exact_tensor_cohort():

@@ -1,6 +1,7 @@
 """Byte-identical artifacts of a multi-seed multiview recovery run and of a
-noise sweep, across worker counts and across BLAS thread counts, and of a
-pooled sample-complexity run across worker counts.
+noise sweep, across worker counts and across BLAS thread counts, of a
+pooled sample-complexity run across worker counts, and of the conditioning
+probes across BLAS thread counts.
 
 The recovery run has accept5's shape (d=50, k=100, n=20000, implicit
 samples) on three seeds, so a pool of two workers splits it, and its long
@@ -8,7 +9,8 @@ sample sums are where a BLAS library would split a reduction across its
 threads.  The noise sweep has accept4's shape (d=100, k=300) on four seeds;
 its dense d^3 noise is contracted one vector at a time.  The
 sample-complexity run has accept6's shape with a smaller decomposition; its
-two workers contract their sample tensors concurrently.
+two workers contract their sample tensors concurrently.  The probes are
+accept8's, whose Monte Carlo sums are long matrix products.
 """
 
 import json
@@ -19,7 +21,8 @@ from pathlib import Path
 
 from tpi.experiments import load_config, run_experiment
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 MULTIVIEW = {
     "schema": 1, "kind": "recovery", "seeds": {"count": 3, "base": 0},
@@ -105,3 +108,9 @@ def test_noise_sweep_artifacts_identical_across_blas_threads_and_workers(tmp_pat
         config = load_config(NOISE, out=str(tmp_path / f"w{threads}"))
         run_experiment(config, threads=threads)
         assert _artifacts(tmp_path / f"w{threads}") == (files, report)
+
+
+def test_conditioning_probe_report_identical_across_blas_threads(tmp_path):
+    config = json.loads((ROOT / "configs" / "accept8_conditioning.json").read_text())
+    blas1, blas2 = _run_at_blas_threads(tmp_path, config, "probe")
+    assert _artifacts(blas1) == _artifacts(blas2)

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import chi
 
 from tpi import models
 from tpi.errors import InvalidArgumentError
@@ -11,8 +10,6 @@ from tpi.models import (
     SampleBatch,
     SampleTensor3,
     SphericalGmm,
-    check_weak_rip,
-    chi_mean,
     empirical_third_moment,
     gmm_modified_moment,
     gmm_population_modified_moment,
@@ -280,11 +277,6 @@ def test_snr_noiseless_is_infinite():
     assert snr(batch, model).empirical == np.inf
 
 
-def test_chi_mean_against_scipy():
-    for d in (1, 2, 5, 40, 400):
-        assert abs(chi_mean(d) - chi.mean(df=d)) < 1e-10 * max(1.0, chi.mean(df=d))
-
-
 def test_asymmetric_mixture_moment():
     d, k = 5, 4
     A = random_components(d, k, seed=41)
@@ -308,12 +300,3 @@ def test_priors_validation():
         MixtureModel(A, np.array([0.5, 0.5, 0.5]))
     with pytest.raises(InvalidArgumentError):
         MixtureModel(A, np.array([0.7, 0.3, 0.0]))
-
-
-def test_weak_rip_on_gaussian_noise_matrix():
-    rng = stream(46, 61)
-    N = rng.standard_normal((50, 200)) / np.sqrt(50)
-    rep = check_weak_rip(N, subset_size=5, trials=200, seed=46)
-    assert rep.passed
-    assert rep.max_restricted_norm <= rep.bound
-    assert rep.violations == 0

@@ -166,12 +166,11 @@ def test_densify_budget_guard():
         densify(T)
 
 
-def test_weight_ratio_and_symmetry_flags():
+def test_symmetry_flags():
     A = random_components(6, 4, seed=9)
     lam = np.array([1.0, 2.0, 3.0, 4.0])
     T = FactoredTensor3(A, lam)
     assert T.is_symmetric
-    assert abs(T.weight_ratio - 4.0) < 1e-15
     B = random_components(6, 4, seed=10)
     T2 = FactoredTensor3(A, lam, B, B)
     assert not T2.is_symmetric
