@@ -27,8 +27,7 @@ T = FactoredTensor3(A, weights)
 inits = A + 0.3 * stream(seed, 3).standard_normal((d, k))
 inits /= np.linalg.norm(inits, axis=0)
 
-result = decompose(T, inits.T, PowerConfig(max_iters=50,
-                                           convergence_gamma=1e-12))
+result = decompose(T, inits.T, PowerConfig(max_iters=50))
 report = match_and_score(result.estimates, T)
 
 print(f"components returned : {result.estimates.shape[1]} of {k}")

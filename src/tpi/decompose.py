@@ -2,10 +2,11 @@
 
 The pipeline runs power iteration from all initializations at once, as one
 d x m block (one block contraction per step), then repeatedly
-(1) picks the surviving iterate maximizing |T(x, x, x)|, (2) refines it with a
-fixed number of extra power steps, (3) emits it sign-normalized so its cubic
-form is nonnegative, and (4) removes every survivor within correlation nu/2 of
-the emission.  Weights are read off the cubic form at each estimate.
+(1) picks the surviving iterate maximizing |T(x, x, x)|, (2) refines it with
+as many extra power steps as the iteration budget, (3) emits it
+sign-normalized so its cubic form is nonnegative, and (4) removes every
+survivor within correlation nu/2 of the emission.  Weights are read off the
+cubic form at each estimate.
 """
 
 from dataclasses import dataclass, field
@@ -16,23 +17,20 @@ from .errors import InvalidArgumentError
 from .power import PowerConfig, default_max_iters, power_step, run_power
 from .tensors import contract_1, contract_scalar
 
-# Optimal assignment is cubic; beyond this many columns fall back to greedy.
+# Optimal assignment is cubic; beyond this many columns match greedily.
 _ASSIGNMENT_LIMIT = 2000
 
 
 @dataclass
 class ClusterConfig:
-    """Dedup parameters: separation threshold nu, refinement length, output cap."""
+    """Dedup parameter nu: each emission removes every survivor x with
+    |<x, emission>| > nu/2, and no two estimates overlap by more than nu/2."""
 
     nu: float = 0.5
-    refine_iters: int | None = None
-    max_components: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.nu <= 1.0):
             raise InvalidArgumentError("nu must lie in (0, 1]")
-        if self.refine_iters is not None and self.refine_iters < 0:
-            raise InvalidArgumentError("refine_iters must be >= 0")
 
 
 @dataclass
@@ -62,31 +60,20 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
     ----------
     tensor : any contractable tensor (factored, dense, perturbed, implicit)
     inits : sequence of unit vectors, length >= 1
-    power_config : PowerConfig for both the initial runs and refinement
-    cluster_config : ClusterConfig (nu, refinement length, output cap)
+    power_config : PowerConfig; its max_iters is the budget of the initial
+        runs and of each refinement (default ``default_max_iters(d)``)
+    cluster_config : ClusterConfig (the separation threshold nu)
     """
     starts = np.asarray(inits, dtype=np.float64)
     if starts.size == 0:
         raise InvalidArgumentError("need at least one initialization")
     if starts.ndim != 2 or starts.shape[1] != tensor.dim:
         raise InvalidArgumentError(f"inits must be unit vectors of length {tensor.dim}")
-    power_config = power_config or PowerConfig(trace_level="none")
-    cluster_config = cluster_config or ClusterConfig()
-    run_cfg = PowerConfig(
-        max_iters=power_config.max_iters,
-        convergence_gamma=power_config.convergence_gamma,
-        trace_level="none",
-        track_target=None,
-    )
-    refine_iters = cluster_config.refine_iters
-    if refine_iters is None:
-        refine_iters = run_cfg.max_iters or default_max_iters(tensor.dim)
-
-    trace = run_power(tensor, starts.T, run_cfg)
+    n_iters = (power_config or PowerConfig()).max_iters or default_max_iters(tensor.dim)
+    trace = run_power(tensor, starts.T, PowerConfig(max_iters=n_iters, trace_level="none"))
     X = trace.final_x
 
-    half_nu = cluster_config.nu / 2.0
-    cap = cluster_config.max_components or len(starts)
+    half_nu = (cluster_config or ClusterConfig()).nu / 2.0
     alive = np.ones(len(starts), dtype=bool)
     estimates, weights, sizes = [], [], []
     sel_scores, refine_paths = [], []
@@ -95,12 +82,12 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
 
     # |T(x, x, x)| of every pool member, from one block contraction
     scores = np.abs(np.einsum("ij,ij->j", X, contract_1(tensor, X, X)))
-    while alive.any() and len(estimates) < cap:
+    while alive.any():
         idx = int(np.argmax(np.where(alive, scores, -np.inf)))
         x = X[:, idx].copy()
         # T(x, x, x) = <x, T(I, x, x)> = ||T(I, x, x)|| <x, x_next>
         path = []
-        for _ in range(refine_iters):
+        for _ in range(n_iters):
             x_next, nrm = power_step(tensor, x)
             path.append(nrm * float(x @ x_next))
             x = x_next
@@ -259,22 +246,21 @@ def _optimal_assign(C):
     return np.arange(m), col_of
 
 
-def match_and_score(estimates, ground_truth, greedy=None):
+def match_and_score(estimates, ground_truth):
     """Match estimate columns to truth columns, maximizing total |correlation|.
 
-    Uses the optimal assignment (``_optimal_assign``) up to 2000 columns
-    (greedy beyond, or when ``greedy=True``).  Signs are resolved per pair;
-    the Frobenius error is computed over matched pairs only and unmatched
-    truth columns are listed in ``missed``.
+    Uses the optimal assignment (``_optimal_assign``) up to
+    ``_ASSIGNMENT_LIMIT`` columns and ``_greedy_assign`` beyond.  Signs are
+    resolved per pair; the Frobenius error is computed over matched pairs
+    only and unmatched truth columns are listed in ``missed``.
     """
     E = np.asarray(estimates, dtype=np.float64)
     if E.ndim != 2 or E.shape[1] == 0:
         raise InvalidArgumentError("estimates must be a nonempty d x m matrix")
     A = ground_truth.components
     C = np.abs(E.T @ A)
-    if greedy is None:
-        greedy = max(C.shape) > _ASSIGNMENT_LIMIT
-    rows, cols = (_greedy_assign if greedy else _optimal_assign)(C)
+    assign = _greedy_assign if max(C.shape) > _ASSIGNMENT_LIMIT else _optimal_assign
+    rows, cols = assign(C)
     signs_matched = np.sign(np.sum(E[:, rows] * A[:, cols], axis=0))
     signs_matched[signs_matched == 0] = 1.0
     diff = E[:, rows] * signs_matched - A[:, cols]

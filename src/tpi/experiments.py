@@ -12,14 +12,12 @@ Each kind's schema is one spec in ``_KINDS``, walked by ``_walk`` to check a
 config and fill its defaults; only cross-field rules are code.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import os
 import time
-import typing
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -71,9 +69,11 @@ _NOISE_SLAB = 2 ** 18
 # ---------------------------------------------------------------------------
 # config schema.  A spec maps each field name to its type, or to a (type,
 # default) pair.  A type is a check(value, where) that returns the value or
-# raises, or a nested spec for a JSON object.  A default is _REQUIRED, a
-# value, or a function of the fields before it.  A field without a default,
-# or whose default function returns None, stays out of the config when absent.
+# raises, or a nested spec for a JSON object; a selector's type (``_select``)
+# also names the fields that each of its values adds.  A default is
+# _REQUIRED, a value, or a function of the fields before it.  A field without
+# a default, or whose default function returns None, stays out of the config
+# when absent.
 
 _REQUIRED = object()
 
@@ -113,36 +113,50 @@ def _list_of(elem, length=None):
         and all(elem.ok(x) for x in v)))
 
 
+def _select(**variants):
+    """The type of a selector field: one of the variant names, each mapped to
+    the spec of the fields that variant adds."""
+    check = _choice(*variants)
+    check.variants = variants
+    return check
+
+
+def _fill(out, name, entry, label):
+    """Give field ``name`` its default if absent; whether it is in ``out``."""
+    if name not in out:
+        default = entry[1] if isinstance(entry, tuple) else None
+        default = default(out) if callable(default) else default
+        if default is _REQUIRED:
+            raise InvalidArgumentError(f"{label}: missing required field {name!r}")
+        if default is None:
+            return False
+        out[name] = default
+    return True
+
+
 def _walk(raw, spec, where=""):
     """Check ``raw`` against ``spec`` and return a copy: unknown or missing
     fields and mistyped values raise, and an absent field takes its default.
-    Fields are visited in spec order."""
+    A selector's value, once checked, adds its variant's fields right after
+    it.  Fields are visited in spec order."""
     label = where or "config"
     OBJECT(raw, label)
-    unknown = sorted(set(raw) - set(spec))
+    out, fields = dict(raw), {}
+    for name, entry in spec.items():
+        fields[name] = entry
+        kind = entry[0] if isinstance(entry, tuple) else entry
+        if hasattr(kind, "variants") and _fill(out, name, entry, label):
+            fields.update(kind.variants[kind(out[name], f"{where}.{name}" if where else name)])
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
         raise InvalidArgumentError(f"{label}: unknown field(s): {', '.join(unknown)}")
-    out = dict(raw)
-    for name, entry in spec.items():
-        kind, default = entry if isinstance(entry, tuple) else (entry, None)
-        if name not in out:
-            default = default(out) if callable(default) else default
-            if default is _REQUIRED:
-                raise InvalidArgumentError(f"{label}: missing required field {name!r}")
-            if default is None:
-                continue
-            out[name] = default
+    for name, entry in fields.items():
+        if not _fill(out, name, entry, label):
+            continue
+        kind = entry[0] if isinstance(entry, tuple) else entry
         at = f"{where}.{name}" if where else name
         out[name] = _walk(out[name], kind, at) if isinstance(kind, dict) else kind(out[name], at)
     return out
-
-
-def _dataclass_spec(cls, skip=()):
-    """Fields of a config dataclass, typed from its annotations.  Their
-    defaults stay with the dataclass, so none enters the config."""
-    types = {int: INT, float: NUM, str: STR, type(None): _type("null", lambda v: v is None)}
-    return {f.name: _either(*(types[t] for t in typing.get_args(f.type) or (f.type,)))
-            for f in dataclasses.fields(cls) if f.name not in skip}
 
 
 # fields: the kind's spec, ``accept`` among them; runner: None when the kind
@@ -411,8 +425,7 @@ def _dynamics_seed(config, seed_value, factor):
                                max_iters=cfg.get("power", {}).get("max_iters", 15))
     if factor:
         target = factor * math.sqrt(k) / d
-        noisy = PerturbedTensor(tensor, _noise_tensor(d, target, seed_value),
-                                noise_spectral_norm=target)
+        noisy = PerturbedTensor(tensor, _noise_tensor(d, target, seed_value))
         trace = run_power_with_shadow(noisy, x0, pcfg, ground_truth=tensor)
     else:
         trace = run_power(tensor, x0, pcfg, ground_truth=tensor)
@@ -746,17 +759,17 @@ def _run_probe(config, threads):
 # the kinds
 
 
-def _by_source(tensor=None, multiview=None):
-    """A recovery default that depends on the config's source."""
-    return lambda cfg: tensor if cfg["source"] == "tensor" else multiview
-
-
-_POWER = _dataclass_spec(PowerConfig, skip={"track_target"})
-_CLUSTER = _dataclass_spec(ClusterConfig)
+# Only the PowerConfig and ClusterConfig fields a kind's runs read: decompose
+# runs untracked, so convergence_gamma only stops a dynamics run.
+_MAX_ITERS = _either(INT, _type("null", lambda v: v is None))
+_DECOMPOSE = {"power": {"max_iters": _MAX_ITERS}, "cluster": {"nu": NUM}}
 _COMPONENTS = _choice("unit-sphere", "orthonormal")
 _WEIGHTS = _either(NUM, _list_of(NUM, 2))
+_RECOVERY_ACCEPT = dict(require_components=INT, min_correlation=NUM, recovered_fraction=NUM,
+                        correlation_threshold=NUM, frobenius_factor=NUM)
 _DYNAMICS = {
-    **_DK, "init_correlation": (_list_of(NUM, 2), _REQUIRED), "power": _POWER,
+    **_DK, "init_correlation": (_list_of(NUM, 2), _REQUIRED),
+    "power": {"max_iters": _MAX_ITERS, "convergence_gamma": NUM},
     "accept": dict(success_correlation=NUM, within_iterations=INT, success_rate=NUM,
                    quadratic_rate=NUM, quadratic_pass_rate=NUM, saturation_fraction=NUM,
                    final_correlation=NUM, final_rate=NUM, xi_max=NUM),
@@ -771,23 +784,25 @@ _DYNAMICS_RULES = (
 _KINDS = {
     "recovery": _Kind({
         **_DK,
-        "source": (_choice("tensor", "multiview"), "tensor"),
-        "components": (_COMPONENTS, _by_source(tensor="unit-sphere")),
-        "weights": (_WEIGHTS, _by_source(tensor=1.0)),
-        "inits": (_either(COUNT, _choice("columns+noise")),
-                  lambda cfg: "columns+noise" if cfg["source"] == "tensor" else 4 * cfg["k"]),
-        "init_noise": (NONNEG, _by_source(tensor=0.3)),
-        "tensor_mode": (_choice("exact-tensor", "empirical-tensor", "implicit-samples"),
-                        _by_source(multiview="implicit-samples")),
-        "n": (COUNT, _by_source(multiview=_REQUIRED)), "zeta": NONNEG, "snr_target": POSITIVE,
-        "power": _POWER, "cluster": _CLUSTER,
-        "accept": dict(require_components=INT, min_correlation=NUM, weight_tol=NUM,
-                       recovered_fraction=NUM, correlation_threshold=NUM, frobenius_factor=NUM),
+        "source": (_select(
+            tensor={
+                "components": (_COMPONENTS, "unit-sphere"), "weights": (_WEIGHTS, 1.0),
+                "inits": (_either(COUNT, _choice("columns+noise")), "columns+noise"),
+                "init_noise": (NONNEG, 0.3),
+                "accept": {**_RECOVERY_ACCEPT, "weight_tol": NUM},
+            },
+            # weight_tol bounds weight_max_err, which is NaN without true weights
+            multiview={
+                "inits": (COUNT, lambda cfg: 4 * cfg["k"]),
+                "tensor_mode": (_choice("exact-tensor", "empirical-tensor", "implicit-samples"),
+                                "implicit-samples"),
+                "n": (COUNT, _REQUIRED), "zeta": NONNEG, "snr_target": POSITIVE,
+                "accept": _RECOVERY_ACCEPT,
+            }), "tensor"),
+        **_DECOMPOSE,
     }, _run_recovery, (
         (lambda cfg: cfg["source"] == "tensor" or ("zeta" in cfg) != ("snr_target" in cfg),
          "multiview recovery needs exactly one of zeta, snr_target"),
-        (lambda cfg: cfg["source"] == "tensor" or INT.ok(cfg["inits"]),
-         "multiview recovery needs an integer inits count"),
     )),
     "dynamics": _Kind({**_DYNAMICS, "noise_norm_factor": NONNEG}, _run_dynamics, _DYNAMICS_RULES),
     "noise-sweep": _Kind({**_DYNAMICS, "noise_norm_factors": (_list_of(NONNEG), _REQUIRED)},
@@ -797,7 +812,7 @@ _KINDS = {
         "sample_sizes": (_list_of(_type("an integer >= 2", lambda v: INT.ok(v) and v >= 2)),
                          _REQUIRED),
         "compare_decomposition": {"n": (COUNT, _REQUIRED), "inits": COUNT},
-        "power": _POWER, "cluster": _CLUSTER,
+        **_DECOMPOSE,
         "accept": dict(ratio_range=_list_of(NUM, 2), ratio_pair=_list_of(INT, 2),
                        decomposition_factor=NUM),
     }, _run_sample_complexity, (
@@ -807,10 +822,9 @@ _KINDS = {
     )),
     "probe": _Kind({"checks": (_probe_checks, _REQUIRED)}, _run_probe),
     "generate": _Kind({
-        "what": (_choice("tensor", "samples"), _REQUIRED), **_DK,
-        "components": _COMPONENTS, "weights": _WEIGHTS,
-        "n": (COUNT, lambda cfg: _REQUIRED if cfg["what"] == "samples" else None),
-        "zeta": NONNEG, "views": COUNT,
+        **_DK, "what": (_select(
+            tensor={"components": _COMPONENTS, "weights": _WEIGHTS},
+            samples={"n": (COUNT, _REQUIRED), "zeta": NONNEG, "views": COUNT}), _REQUIRED),
     }),
 }
 

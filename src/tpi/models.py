@@ -24,7 +24,7 @@ import numpy as np
 from .container import load_matrix, save_matrix
 from .errors import InvalidArgumentError, ResourceBudgetError
 from .rng import stream
-from .tensors import DENSE_DIM_LIMIT, DenseTensor3, FactoredTensor3
+from .tensors import DENSE_DIM_LIMIT, DenseTensor3, FactoredTensor3, _as_unit_columns
 
 _CHUNK = 65536  # fixed accumulation chunk so summation order never varies
 # Sample chunk of SampleTensor3.contract_1.  It keeps each BLAS sum short:
@@ -49,15 +49,6 @@ def _check_simplex(priors, k):
     return p
 
 
-def _check_factor(F):
-    F = np.ascontiguousarray(F, dtype=np.float64)
-    if F.ndim != 2:
-        raise InvalidArgumentError("factor must be a d x k matrix")
-    if not np.all(np.abs(np.linalg.norm(F, axis=0) - 1.0) <= 1e-10):
-        raise InvalidArgumentError("factor columns must be unit norm within 1e-10")
-    return F
-
-
 class MixtureModel:
     """Multiview mixture parameters.
 
@@ -70,13 +61,13 @@ class MixtureModel:
         if isinstance(factor, (tuple, list)):
             if len(factor) != 3:
                 raise InvalidArgumentError("asymmetric variant needs exactly three matrices")
-            self.factors = tuple(_check_factor(F) for F in factor)
+            self.factors = tuple(_as_unit_columns(F, "factor") for F in factor)
             if len({F.shape for F in self.factors}) != 1:
                 raise InvalidArgumentError("per-view factors must share shape")
             if views != 3:
                 raise InvalidArgumentError("asymmetric variant requires views == 3")
         else:
-            self.factors = (_check_factor(factor),)
+            self.factors = (_as_unit_columns(factor, "factor"),)
         if views < 3:
             raise InvalidArgumentError("need at least 3 views")
         self.views = int(views)
@@ -151,7 +142,7 @@ class SphericalGmm:
     sigma: float
 
     def __post_init__(self):
-        self.means = _check_factor(self.means)
+        self.means = _as_unit_columns(self.means, "means")
         self.priors = _check_simplex(self.priors, self.means.shape[1])
         if self.sigma < 0:
             raise InvalidArgumentError("sigma must be >= 0")
@@ -220,16 +211,23 @@ def _budget_check(d):
         raise ResourceBudgetError(f"dense moment at d={d} exceeds limit {DENSE_DIM_LIMIT}")
 
 
+def _sample_sum(Z1, Z2, Z3):
+    """sum_t z1_t (x) z2_t (x) z3_t over the columns of three d x n matrices,
+    accumulated over fixed ``_CHUNK``-sample chunks."""
+    d, n = Z1.shape
+    acc = np.zeros((d,) * 3)
+    for lo in range(0, n, _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, n))
+        acc += np.einsum("it,jt,lt->ijl", Z1[:, sl], Z2[:, sl], Z3[:, sl])
+    return acc
+
+
 def empirical_third_moment(batch):
     """Cross-view average (1/n) sum_i z1 (x) z2 (x) z3 as a DenseTensor3."""
     if batch.p < 3:
         raise InvalidArgumentError("need at least three views")
     _budget_check(batch.d)
-    Z1, Z2, Z3 = batch.views[0], batch.views[1], batch.views[2]
-    acc = np.zeros((batch.d,) * 3)
-    for lo in range(0, batch.n, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, batch.n))
-        acc += np.einsum("it,jt,lt->ijl", Z1[:, sl], Z2[:, sl], Z3[:, sl])
+    acc = _sample_sum(*batch.views[:3])
     return DenseTensor3(acc / batch.n, symmetric=False, check=False)
 
 
@@ -312,12 +310,7 @@ def gmm_modified_moment(gmm, samples):
     if Z.ndim != 2 or Z.shape[0] != gmm.means.shape[0]:
         raise InvalidArgumentError("samples must be d x n with the model's d")
     _budget_check(Z.shape[0])
-    d, n = Z.shape
-    acc = np.zeros((d,) * 3)
-    for lo in range(0, n, _CHUNK):
-        zc = Z[:, lo : min(lo + _CHUNK, n)]
-        acc += np.einsum("it,jt,lt->ijl", zc, zc, zc)
-    raw = acc / n
+    raw = _sample_sum(Z, Z, Z) / Z.shape[1]
     return DenseTensor3(raw - _sigma_correction(Z.mean(axis=1), gmm.sigma),
                         symmetric=True, check=False)
 

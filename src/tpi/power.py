@@ -17,7 +17,6 @@ see exactly that.  Convergence claims should always be read off the recorded
 correlations, not assumed.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -25,8 +24,6 @@ import numpy as np
 
 from .errors import DegenerateIterateError, InvalidArgumentError
 from .tensors import FactoredTensor3, PerturbedTensor, contract_1
-
-_FLOAT_FMT = "%.17g"
 
 
 def default_max_iters(d):
@@ -114,25 +111,6 @@ class IterationTrace:
                 "unnormalized_norm": self.unnormalized_norms[i],
                 "noise_norm": self.noise_component_norms[i],
             }
-
-    def to_jsonl(self, path):
-        with open(path, "w", newline="\n") as fh:
-            for rec in self.steps():
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("iteration,correlation,unnormalized_norm,noise_norm\n")
-            for rec in self.steps():
-                fh.write(
-                    "%d,%s,%s,%s\n"
-                    % (
-                        rec["iteration"],
-                        _FLOAT_FMT % rec["correlation"],
-                        _FLOAT_FMT % rec["unnormalized_norm"],
-                        _FLOAT_FMT % rec["noise_norm"],
-                    )
-                )
 
 
 def _norms(v):

@@ -155,25 +155,15 @@ class DenseTensor3:
 
 
 class PerturbedTensor:
-    """A factored signal plus an arbitrary dense perturbation of the same dim.
+    """A factored signal plus an arbitrary dense perturbation of the same dim."""
 
-    ``noise_spectral_norm`` caches a multi-restart power-iteration estimate of
-    the perturbation's spectral norm (a lower bound; see
-    ``spectral_norm_estimate``).
-    """
-
-    def __init__(self, signal, noise, noise_spectral_norm=None, seed=0):
+    def __init__(self, signal, noise):
         if not isinstance(signal, FactoredTensor3) or not isinstance(noise, DenseTensor3):
             raise InvalidArgumentError("PerturbedTensor needs (FactoredTensor3, DenseTensor3)")
         if signal.dim != noise.dim:
             raise InvalidArgumentError("signal and noise dims differ")
         self.signal = signal
         self.noise = noise
-        if noise_spectral_norm is None:
-            noise_spectral_norm = spectral_norm_estimate(noise, seed=seed)
-        if noise_spectral_norm < 0:
-            raise InvalidArgumentError("noise_spectral_norm must be >= 0")
-        self.noise_spectral_norm = float(noise_spectral_norm)
 
     @property
     def dim(self):

@@ -190,6 +190,13 @@ def test_recovery_and_sample_complexity_runs_do_not_import_scipy(tmp_path):
 
 
 _BASE = {"schema": 1, "kind": "dynamics", "d": 10, "k": 12, "init_correlation": [0.3, 0.4]}
+_TENSOR = {"schema": 1, "kind": "recovery", "d": 6, "k": 8}
+_MULTIVIEW = {"schema": 1, "kind": "recovery", "d": 6, "k": 8, "source": "multiview",
+              "zeta": 0.05, "n": 200, "inits": 10}
+_POOLED = {"schema": 1, "kind": "sample-complexity", "d": 6, "k": 8, "zeta": 0.05,
+           "sample_sizes": [100, 200]}
+_GEN_TENSOR = {"schema": 1, "kind": "generate", "what": "tensor", "d": 6, "k": 8}
+_GEN_SAMPLES = {"schema": 1, "kind": "generate", "what": "samples", "d": 6, "k": 8, "n": 40}
 
 
 @pytest.mark.parametrize("doc", [
@@ -211,10 +218,36 @@ _BASE = {"schema": 1, "kind": "dynamics", "d": 10, "k": 12, "init_correlation": 
     # columns that are not unit norm cannot make a factored tensor
     pytest.param({"schema": 1, "kind": "recovery", "d": 8, "k": 5, "components": "gaussian"},
                  id="components-gaussian"),
+    # fields that a run of this variant never reads
+    pytest.param(dict(_TENSOR, n=100), id="tensor-recovery-n"),
+    pytest.param(dict(_TENSOR, zeta=0.1), id="tensor-recovery-zeta"),
+    pytest.param(dict(_TENSOR, snr_target=1.0), id="tensor-recovery-snr-target"),
+    pytest.param(dict(_TENSOR, tensor_mode="implicit-samples"), id="tensor-recovery-tensor-mode"),
+    pytest.param(dict(_MULTIVIEW, components="orthonormal"), id="multiview-components"),
+    pytest.param(dict(_MULTIVIEW, weights=2.0), id="multiview-weights"),
+    pytest.param(dict(_MULTIVIEW, init_noise=0.3), id="multiview-init-noise"),
+    # multiview runs have no true weights, so weight_max_err is NaN
+    pytest.param(dict(_MULTIVIEW, accept={"weight_tol": 1.0}), id="multiview-weight-tol"),
+    pytest.param(dict(_GEN_TENSOR, n=40), id="generate-tensor-n"),
+    pytest.param(dict(_GEN_TENSOR, zeta=0.1), id="generate-tensor-zeta"),
+    pytest.param(dict(_GEN_TENSOR, views=4), id="generate-tensor-views"),
+    pytest.param(dict(_GEN_SAMPLES, components="unit-sphere"), id="generate-samples-components"),
+    pytest.param(dict(_GEN_SAMPLES, weights=2.0), id="generate-samples-weights"),
+    pytest.param(dict(_TENSOR, power={"trace_level": "none"}), id="recovery-trace-level"),
+    pytest.param(dict(_TENSOR, power={"convergence_gamma": 0.1}), id="recovery-convergence-gamma"),
+    pytest.param(dict(_POOLED, power={"trace_level": "full"}), id="pooled-trace-level"),
+    pytest.param(dict(_POOLED, power={"convergence_gamma": 0.1}), id="pooled-convergence-gamma"),
+    # "none" used to end in an IndexError, "full" changed nothing
+    pytest.param(dict(_BASE, power={"trace_level": "none"}), id="dynamics-trace-level-none"),
+    pytest.param(dict(_BASE, power={"trace_level": "full"}), id="dynamics-trace-level-full"),
+    pytest.param(dict(_TENSOR, cluster={"refine_iters": 2}), id="cluster-refine-iters"),
+    # 0 used to mean "no cap"
+    pytest.param(dict(_TENSOR, cluster={"max_components": 0}), id="cluster-max-components"),
+    pytest.param(dict(_POOLED, cluster={"max_components": 3}), id="pooled-max-components"),
 ])
 def test_malformed_config_exits_two(tmp_path, capsys, doc):
-    command = {"dynamics": "dynamics", "noise-sweep": "dynamics", "probe": "probe"}.get(
-        doc["kind"], "decompose")
+    command = {"dynamics": "dynamics", "noise-sweep": "dynamics", "probe": "probe",
+               "generate": "generate"}.get(doc["kind"], "decompose")
     rc = cli([command, "--config", _write(tmp_path, "bad.json", doc),
               "--out", str(tmp_path / "run")])
     assert rc == 2

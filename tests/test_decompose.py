@@ -6,6 +6,7 @@ from scipy.optimize import linear_sum_assignment
 
 from tpi.decompose import (
     ClusterConfig,
+    _greedy_assign,
     _optimal_assign,
     decompose,
     learn_multiview,
@@ -66,14 +67,6 @@ def test_empty_inits_rejected():
         decompose(FactoredTensor3(A, np.ones(5)), [])
 
 
-def test_max_components_cap():
-    A = orthonormal(6, 6, 63)
-    T = FactoredTensor3(A, np.ones(6))
-    res = decompose(T, column_noise_inits(A, 0.1, 63), PowerConfig(max_iters=30),
-                    ClusterConfig(max_components=3))
-    assert res.n_components == 3
-
-
 def test_match_and_score_permutation_and_signs():
     A = orthonormal(6, 4, 66)
     T = FactoredTensor3(A, np.ones(4))
@@ -99,17 +92,24 @@ def test_match_and_score_missing_columns():
     assert rep.missed == [3, 4]
 
 
-def test_match_and_score_greedy_agrees_on_easy_case():
+def _greedy_match(monkeypatch, E, T):
+    """match_and_score with every size above the optimal-assignment limit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules["tpi.decompose"], "_ASSIGNMENT_LIMIT", 1)
+        return match_and_score(E, T)
+
+
+def test_match_and_score_greedy_agrees_on_easy_case(monkeypatch):
     A = orthonormal(6, 6, 68)
     T = FactoredTensor3(A, np.ones(6))
     E = A[:, ::-1].copy()
     opt = match_and_score(E, T)
-    gre = match_and_score(E, T, greedy=True)
+    gre = _greedy_match(monkeypatch, E, T)
     assert list(opt.permutation) == list(gre.permutation)
     assert opt.frobenius_error == gre.frobenius_error
 
 
-def test_match_and_score_greedy_equals_optimal_where_greedy_is_optimal():
+def test_match_and_score_greedy_equals_optimal_where_greedy_is_optimal(monkeypatch):
     # Five noisy estimates of distinct truth columns out of seven: each
     # estimate's best truth column is its own, so greedy is optimal.
     A = orthonormal(9, 7, 69)
@@ -119,7 +119,7 @@ def test_match_and_score_greedy_equals_optimal_where_greedy_is_optimal():
     E = A[:, perm] * signs + 0.05 * stream(69, 53).standard_normal((9, 5))
     E /= np.linalg.norm(E, axis=0)
     opt = match_and_score(E, T)
-    gre = match_and_score(E, T, greedy=True)
+    gre = _greedy_match(monkeypatch, E, T)
     assert list(opt.permutation) == perm
     for field_name in ("permutation", "signs", "per_component_correlations"):
         assert np.array_equal(getattr(gre, field_name), getattr(opt, field_name))
@@ -134,10 +134,10 @@ def test_match_and_score_switches_to_greedy_above_limit(monkeypatch):
     T = FactoredTensor3(np.eye(2), np.ones(2))
     E = np.array([[0.9, 0.8], [0.8, 0.1]])
     assert list(match_and_score(E, T).permutation) == [1, 0]
-    assert list(match_and_score(E, T, greedy=True).permutation) == [0, 1]
+    rows, cols = _greedy_assign(np.abs(E.T @ T.components))
+    assert list(rows) == [0, 1] and list(cols) == [0, 1]
     monkeypatch.setattr(sys.modules["tpi.decompose"], "_ASSIGNMENT_LIMIT", 1)
     assert list(match_and_score(E, T).permutation) == [0, 1]
-    assert list(match_and_score(E, T, greedy=False).permutation) == [1, 0]
 
 
 @pytest.mark.parametrize("m, k", [(7, 12), (12, 7), (1, 9), (9, 1), (10, 10), (30, 45)])

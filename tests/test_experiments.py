@@ -311,3 +311,42 @@ def test_frozen_config_hashes_are_pinned():
     assert {p.stem for p in configs.glob("*.json")} == set(FROZEN_HASHES)
     for stem, expected in FROZEN_HASHES.items():
         assert load_config(configs / f"{stem}.json").config_hash == expected, stem
+
+
+# config_hash of the smallest config of each kind and variant, every default
+# filled: the frozen configs set most fields, so a drifting default shows here
+MINIMAL_HASHES = [
+    pytest.param({"kind": "recovery", "d": 6, "k": 8},
+                 "a6c5c45237d3281dca8458f8762dcfcfa41d82c378d537caad7f90122e66ac97",
+                 id="recovery-tensor"),
+    pytest.param({"kind": "recovery", "d": 6, "k": 8, "source": "multiview", "n": 100,
+                  "zeta": 0.1},
+                 "77a1a3d2f6bd8eea7f40207de8bae7bdb7891aac9db1ba7581ed1bc1d70dce2d",
+                 id="recovery-multiview"),
+    pytest.param({"kind": "generate", "what": "tensor", "d": 6, "k": 8},
+                 "3d5cc09a76713cada72eabcee852a2ce1d9d4f7eda82b419b52cb179e9729dd1",
+                 id="generate-tensor"),
+    pytest.param({"kind": "generate", "what": "samples", "d": 6, "k": 8, "n": 50},
+                 "b1dd54bc6e1ae971a790bbc0c56c4ebb7f464567da0a75de2f383db38b248198",
+                 id="generate-samples"),
+    pytest.param({"kind": "dynamics", "d": 10, "k": 12, "init_correlation": [0.3, 0.4]},
+                 "cf1d4c214787752173468f6b4336ccc3bf87c7ace110fb9b1b76369faa4230e8",
+                 id="dynamics"),
+    pytest.param({"kind": "noise-sweep", "d": 10, "k": 12, "init_correlation": [0.3, 0.4],
+                  "noise_norm_factors": [0.1]},
+                 "1520100ee4ac1ddd4964ac6e7580990a697a676318e8cfdc23cdd0e7f738f929",
+                 id="noise-sweep"),
+    pytest.param({"kind": "sample-complexity", "d": 6, "k": 8, "zeta": 0.05,
+                  "sample_sizes": [100, 200]},
+                 "207c4c93899015f5aa6059c2a9ad142aa143f87e0f8b4e4e292a2b30c2bc2317",
+                 id="sample-complexity"),
+    pytest.param({"kind": "probe",
+                  "checks": [{"check": "mixed-norm", "d": 5, "k": 6, "trials": 10}]},
+                 "53a76c553655682524425f0b7bae607c0ffb143946cf4034bfa6cbc383e2711b",
+                 id="probe"),
+]
+
+
+@pytest.mark.parametrize("doc, expected", MINIMAL_HASHES)
+def test_default_filled_config_hashes_are_pinned(doc, expected):
+    assert load_config(dict(doc, schema=1)).config_hash == expected

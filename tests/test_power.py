@@ -193,21 +193,6 @@ def test_full_trace_records_iterates():
     assert np.array_equal(trace.xs[0], x0) and np.array_equal(trace.xs[-1], trace.final_x)
 
 
-def test_trace_jsonl_and_csv(tmp_path):
-    A = random_components(5, 8, seed=6)
-    T = FactoredTensor3(A, np.ones(8))
-    x0 = A[:, 1]
-    trace = run_power(T, x0, PowerConfig(max_iters=3, convergence_gamma=1e-12))
-    j = tmp_path / "trace.jsonl"
-    c = tmp_path / "trace.csv"
-    trace.to_jsonl(j)
-    trace.to_csv(c)
-    lines = j.read_text().strip().split("\n")
-    assert len(lines) == len(trace)
-    header = c.read_text().split("\n")[0]
-    assert header == "iteration,correlation,unnormalized_norm,noise_norm"
-
-
 def test_asymmetric_reduces_to_symmetric():
     A = random_components(9, 14, seed=7)
     T = FactoredTensor3(A, np.ones(14))
@@ -272,7 +257,7 @@ def test_shadow_with_zero_noise_matches_clean_run():
     A = random_components(12, 20, seed=8)
     T = FactoredTensor3(A, np.ones(20))
     zero = symmetrize(np.zeros((12, 12, 12)))
-    P = PerturbedTensor(T, zero, noise_spectral_norm=0.0)
+    P = PerturbedTensor(T, zero)
     x0 = A[:, 0]
     cfg = PowerConfig(max_iters=6, convergence_gamma=1e-12, track_target=0)
     clean = run_power(T, x0, cfg, ground_truth=T)
@@ -288,7 +273,7 @@ def test_shadow_noise_norm_small_for_small_noise():
     raw = symmetrize(stream(9, 54).standard_normal((d, d, d)))
     target = 1e-4 * np.sqrt(k) / d
     noise = scale_noise_to(raw, target, seed=9)
-    P = PerturbedTensor(T, noise, noise_spectral_norm=target)
+    P = PerturbedTensor(T, noise)
     x0 = A[:, 0] + 0.2 * stream(9, 55).standard_normal(d)
     x0 /= np.linalg.norm(x0)
     cfg = PowerConfig(max_iters=3, convergence_gamma=1e-12, track_target=0)
@@ -306,7 +291,7 @@ def test_shadow_split_matches_plain_recursion_at_nonzero_noise():
     w = np.linspace(1.0, 1.5, k)
     T = FactoredTensor3(A, w)
     noise = scale_noise_to(symmetrize(stream(10, 54).standard_normal((d, d, d))), 0.05, seed=10)
-    P = PerturbedTensor(T, noise, noise_spectral_norm=0.05)
+    P = PerturbedTensor(T, noise)
     x0 = A[:, 0] + 0.5 * stream(10, 55).standard_normal(d)
     x0 /= np.linalg.norm(x0)
     cfg = PowerConfig(max_iters=8, convergence_gamma=1e-12, track_target=0)

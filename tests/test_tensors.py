@@ -191,7 +191,7 @@ def _block_representations():
     model = MixtureModel(A, np.full(k, 1.0 / k), noise_scale=0.1)
     samples = SampleTensor3(sample_multiview(model, 2500, seed=24))
     return {"factored": sym, "asymmetric": asym, "dense": densify(sym),
-            "perturbed": PerturbedTensor(sym, noise, noise_spectral_norm=1.0),
+            "perturbed": PerturbedTensor(sym, noise),
             "samples": samples}
 
 
