@@ -36,8 +36,7 @@ for seed in seeds:
     g -= (g @ A[:, 0]) * A[:, 0]
     x0 = c0 * A[:, 0] + np.sqrt(1 - c0**2) * g / np.linalg.norm(g)
 
-    trace = run_power(T, x0, PowerConfig(max_iters=iters, track_target=0),
-                      ground_truth=T)
+    trace = run_power(T, x0, PowerConfig(max_iters=iters), target=A[:, 0])
     corrs = np.abs(trace.target_correlations)
     quad = quadratic_progress_ok(corrs, d, k)
     cells = " ".join(f"{c * scale:5.2f}" for c in corrs)

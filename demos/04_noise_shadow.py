@@ -39,7 +39,7 @@ x0 = c0 * A[:, 0] + np.sqrt(1 - c0**2) * g / np.linalg.norm(g)
 
 raw = symmetrize(stream(seed, 6).standard_normal((d, d, d)))
 base_norm = np.sqrt(k) / d  # the scale the bulk of T itself lives at
-cfg = PowerConfig(max_iters=iters, track_target=0)
+cfg = PowerConfig(max_iters=iters)
 
 print(f"d={d} k={k}, start correlation {c0}, noise unit sqrt(k)/d = "
       f"{base_norm:.3f}")
@@ -55,7 +55,7 @@ for boost, label in ((2.0, "convergent run (tracked weight 2.0)"),
     for factor in factors:
         E = scale_noise_to(raw, factor * base_norm, seed=0)
         trace = run_power_with_shadow(PerturbedTensor(T, E), x0, cfg,
-                                      ground_truth=T)
+                                      target=A[:, 0])
         xi = np.asarray(trace.noise_norms)
         corr = abs(trace.target_correlations[-1])
         print(f"  {factor:16.2f}   {corr:9.4f}   {xi.max():10.3e}")

@@ -24,21 +24,21 @@ trials = 20_000
 seed = 0
 
 single = check_conditioning_lemma(20, 30, 1.0, trials, seed)
-print(f"conditioning        passed={single.passed}  "
-      f"mean z={single.mean_max_z:.2f}  cov z={single.cov_max_z:.2f}  "
-      f"orth residual={single.orthogonality_residual:.1e} (band "
-      f"{single.se_band:.0f} SE)")
+print(f"conditioning        passed={single['passed']}  "
+      f"mean z={single['mean_max_z']:.2f}  cov z={single['cov_max_z']:.2f}  "
+      f"orth residual={single['orthogonality_residual']:.1e} (band "
+      f"{single['se_band']:.0f} SE)")
 
 chain = check_iterative_conditioning(30, 40, 3, trials, seed)
-print(f"iterative chain (3) passed={chain.passed}  "
-      f"mean z={chain.mean_max_z:.2f}  var ratio={chain.var_ratio:.4f}  "
-      f"orth residual={chain.orthogonality_residual:.1e}")
+print(f"iterative chain (3) passed={chain['passed']}  "
+      f"mean z={chain['mean_max_z']:.2f}  var ratio={chain['var_ratio']:.4f}  "
+      f"orth residual={chain['orthogonality_residual']:.1e}")
 
 fresh = check_fresh_randomness(50, 400, 5, 512, seed)
-print(f"fresh randomness    passed={fresh.passed}  "
-      f"min pass rate={min(fresh.pass_rates.values()):.3f} over "
-      f"{sorted(fresh.pass_rates)}")
+print(f"fresh randomness    passed={fresh['passed']}  "
+      f"min pass rate={min(fresh['pass_rates'].values()):.3f} over "
+      f"{sorted(fresh['pass_rates'])}")
 
 mixed = check_mixed_norm_bound(100, 300, 200, seed)
-print(f"mixed norm          passed={mixed.passed}  "
-      f"max ratio={mixed.max_ratio:.3f} (must stay < 1)")
+print(f"mixed norm          passed={mixed['passed']}  "
+      f"max ratio={mixed['max_ratio']:.3f} (must stay < 1)")

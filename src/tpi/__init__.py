@@ -46,10 +46,7 @@ from .power import (
     run_power_with_shadow,
 )
 from .probes import (
-    ConditioningCheck,
     ConstraintChain,
-    FreshRandomnessReport,
-    MixedNormReport,
     check_conditioning_lemma,
     check_fresh_randomness,
     check_gmm_moment,

@@ -17,9 +17,6 @@ from .errors import InvalidArgumentError
 from .power import PowerConfig, default_max_iters, power_step, run_power
 from .tensors import contract_1, contract_scalar
 
-# Optimal assignment is cubic; beyond this many columns match greedily.
-_ASSIGNMENT_LIMIT = 2000
-
 
 @dataclass
 class ClusterConfig:
@@ -70,7 +67,7 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
     if starts.ndim != 2 or starts.shape[1] != tensor.dim:
         raise InvalidArgumentError(f"inits must be unit vectors of length {tensor.dim}")
     n_iters = (power_config or PowerConfig()).max_iters or default_max_iters(tensor.dim)
-    trace = run_power(tensor, starts.T, PowerConfig(max_iters=n_iters, trace_level="none"))
+    trace = run_power(tensor, starts.T, PowerConfig(max_iters=n_iters))
     X = trace.final_x
 
     half_nu = (cluster_config or ClusterConfig()).nu / 2.0
@@ -175,24 +172,6 @@ class MatchReport:
     matched_pairs: int
 
 
-def _greedy_assign(C):
-    m, k = C.shape
-    order = np.argsort(-C, axis=None)
-    used_r = np.zeros(m, bool)
-    used_c = np.zeros(k, bool)
-    rows, cols = [], []
-    for flat in order:
-        r, c = divmod(int(flat), k)
-        if not used_r[r] and not used_c[c]:
-            rows.append(r)
-            cols.append(c)
-            used_r[r] = used_c[c] = True
-            if len(rows) == min(m, k):
-                break
-    order = np.argsort(rows)  # rows ascending, as _optimal_assign returns them
-    return np.array(rows)[order], np.array(cols)[order]
-
-
 def _optimal_assign(C):
     """Maximum-weight matching of min(m, k) rows and columns of an m x k C.
 
@@ -249,18 +228,16 @@ def _optimal_assign(C):
 def match_and_score(estimates, ground_truth):
     """Match estimate columns to truth columns, maximizing total |correlation|.
 
-    Uses the optimal assignment (``_optimal_assign``) up to
-    ``_ASSIGNMENT_LIMIT`` columns and ``_greedy_assign`` beyond.  Signs are
-    resolved per pair; the Frobenius error is computed over matched pairs
-    only and unmatched truth columns are listed in ``missed``.
+    The assignment is optimal (``_optimal_assign``).  Signs are resolved per
+    pair; the Frobenius error is computed over matched pairs only and
+    unmatched truth columns are listed in ``missed``.
     """
     E = np.asarray(estimates, dtype=np.float64)
     if E.ndim != 2 or E.shape[1] == 0:
         raise InvalidArgumentError("estimates must be a nonempty d x m matrix")
     A = ground_truth.components
     C = np.abs(E.T @ A)
-    assign = _greedy_assign if max(C.shape) > _ASSIGNMENT_LIMIT else _optimal_assign
-    rows, cols = assign(C)
+    rows, cols = _optimal_assign(C)
     signs_matched = np.sign(np.sum(E[:, rows] * A[:, cols], axis=0))
     signs_matched[signs_matched == 0] = 1.0
     diff = E[:, rows] * signs_matched - A[:, cols]

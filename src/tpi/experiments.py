@@ -415,20 +415,19 @@ def _noise_tensor(d, target_norm, seed):
 
 
 def _dynamics_seed(config, seed_value, factor):
+    """One run tracked against a_1: its metrics and its traces.jsonl rows."""
     cfg = config.data
     d, k = cfg["d"], cfg["k"]
     comps = random_components(d, k, seed=seed_value)
     tensor = FactoredTensor3(comps, np.ones(k))
     lo, hi = cfg["init_correlation"]
     x0, c0 = _tuned_init(comps[:, 0], stream(seed_value, 601), lo, hi)
-    pcfg = config.power_config(track_target=0,
-                               max_iters=cfg.get("power", {}).get("max_iters", 15))
+    pcfg = config.power_config(max_iters=cfg.get("power", {}).get("max_iters", 15))
     if factor:
-        target = factor * math.sqrt(k) / d
-        noisy = PerturbedTensor(tensor, _noise_tensor(d, target, seed_value))
-        trace = run_power_with_shadow(noisy, x0, pcfg, ground_truth=tensor)
+        noisy = PerturbedTensor(tensor, _noise_tensor(d, factor * math.sqrt(k) / d, seed_value))
+        trace = run_power_with_shadow(noisy, x0, pcfg, target=comps[:, 0])
     else:
-        trace = run_power(tensor, x0, pcfg, ground_truth=tensor)
+        trace = run_power(tensor, x0, pcfg, target=comps[:, 0])
     acc = cfg.get("accept", {})
     metrics = {
         "seed": seed_value,
@@ -445,7 +444,10 @@ def _dynamics_seed(config, seed_value, factor):
     if factor:
         metrics["noise_norm_factor"] = factor
         metrics["max_xi"] = float(np.max(trace.noise_norms))
-    return metrics, trace
+    steps = zip(trace.target_correlations, trace.unnormalized_norms, trace.noise_component_norms)
+    return metrics, [{"iteration": t, "correlation": corr, "unnormalized_norm": unnorm,
+                      "noise_norm": xi, "seed": seed_value, "noise_norm_factor": factor}
+                     for t, (corr, unnorm, xi) in enumerate(steps)]
 
 
 def _eval_dynamics_accept(acc, per_seed):
@@ -500,14 +502,11 @@ def _run_dynamics(config, threads):
             })
         else:
             per_seed.append(seed_runs[0][0])
-        for factor, (metrics, trace) in zip(factors, seed_runs):
-            for step in trace.steps():
-                row = [base + i, step["iteration"], step["correlation"]]
-                if noisy:
-                    row = [factor] + row + [step["noise_norm"]]
-                csv_rows.append(row)
-                trace_rows.append(dict(step, seed=base + i,
-                                       noise_norm_factor=factor))
+        for factor, (_, rows) in zip(factors, seed_runs):
+            for step in rows:
+                row = [step["seed"], step["iteration"], step["correlation"]]
+                csv_rows.append([factor] + row + [step["noise_norm"]] if noisy else row)
+            trace_rows.extend(rows)
     header = (["factor", "seed", "iteration", "correlation", "xi_norm"]
               if noisy else ["seed", "iteration", "correlation"])
 
@@ -734,8 +733,7 @@ def _probe_checks(value, where):
 def _run_check(chk, seed):
     fn, params = _PROBE_CHECKS[chk["check"]]
     kwargs = _walk({key: val for key, val in chk.items() if key != "check"}, params)
-    rep = fn(seed=seed, threads=1, **kwargs)
-    return rep if isinstance(rep, dict) else rep.to_json()
+    return fn(seed=seed, threads=1, **kwargs)
 
 
 def _run_probe(config, threads):
@@ -760,7 +758,8 @@ def _run_probe(config, threads):
 
 
 # Only the PowerConfig and ClusterConfig fields a kind's runs read: decompose
-# runs untracked, so convergence_gamma only stops a dynamics run.
+# runs without a target, so convergence_gamma only stops a dynamics run,
+# where an absent max_iters means 15 steps.
 _MAX_ITERS = _either(INT, _type("null", lambda v: v is None))
 _DECOMPOSE = {"power": {"max_iters": _MAX_ITERS}, "cluster": {"nu": NUM}}
 _COMPONENTS = _choice("unit-sphere", "orthonormal")
@@ -769,7 +768,7 @@ _RECOVERY_ACCEPT = dict(require_components=INT, min_correlation=NUM, recovered_f
                         correlation_threshold=NUM, frobenius_factor=NUM)
 _DYNAMICS = {
     **_DK, "init_correlation": (_list_of(NUM, 2), _REQUIRED),
-    "power": {"max_iters": _MAX_ITERS, "convergence_gamma": NUM},
+    "power": {"max_iters": COUNT, "convergence_gamma": NUM},
     "accept": dict(success_correlation=NUM, within_iterations=INT, success_rate=NUM,
                    quadratic_rate=NUM, quadratic_pass_rate=NUM, saturation_fraction=NUM,
                    final_correlation=NUM, final_rate=NUM, xi_max=NUM),
@@ -819,6 +818,8 @@ _KINDS = {
         (lambda cfg: all(n in cfg["sample_sizes"]
                          for n in cfg.get("accept", {}).get("ratio_pair", ())),
          "accept.ratio_pair must be two of the sample_sizes"),
+        (lambda cfg: "compare_decomposition" in cfg or not {"power", "cluster"} & set(cfg),
+         "power and cluster only apply with compare_decomposition"),
     )),
     "probe": _Kind({"checks": (_probe_checks, _REQUIRED)}, _run_probe),
     "generate": _Kind({

@@ -5,10 +5,11 @@ The basic update is
     x <- T(I, x, x) / ||T(I, x, x)||
 
 which, for a factored tensor with component matrix A and unit weights, is the
-O(dk) map ``x <- A (A^T x)^{*2} / ||.||`` (elementwise square).  The engine
-records per-step scalars (and optionally the full iterate) so dynamics can
-be analyzed offline.  ``run_power`` also takes a d x m block of starts and
-advances them together, one block contraction per step.
+O(dk) map ``x <- A (A^T x)^{*2} / ||.||`` (elementwise square).  A run from
+one start records every step's iterate, norm and correlation with an
+optional target vector, so dynamics can be analyzed offline.  ``run_power``
+also takes a d x m block of starts and advances them together, one block
+contraction per step, and records only where each column ended.
 
 Overcomplete caveat: when k > d the true components are close to, but not
 exactly, fixed points of this map.  At small d the iterates typically climb
@@ -18,7 +19,7 @@ correlations, not assumed.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,54 +38,48 @@ class PowerConfig:
     """Knobs for a power-iteration run.
 
     max_iters of None resolves to ``default_max_iters(d)`` at run time.
-    convergence_gamma is the early-stop margin: a tracked run halts once
-    |<x, a_target>| >= 1 - gamma.  trace_level is "none", "norms", or "full".
+    convergence_gamma is the early-stop margin: a run given a target halts
+    once |<x, target>| >= 1 - gamma.
     """
 
     max_iters: int | None = None
     convergence_gamma: float = 0.05
-    trace_level: str = "norms"
-    track_target: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.convergence_gamma < 1.0):
             raise InvalidArgumentError("convergence_gamma must lie in (0, 1)")
         if self.max_iters is not None and self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
-        if self.trace_level not in ("none", "norms", "full"):
-            raise InvalidArgumentError(f"unknown trace_level {self.trace_level!r}")
 
 
 class IterationTrace:
-    """Per-step record of a power run.  Step 0 is the initialization.
+    """Record of a power run.  Step 0 is the initialization.
 
-    Scalars are kept for every step at trace_level "norms"/"full"; the
-    iterates x only at "full".
+    A vector run keeps every step's iterate ``xs``, unnormalized norm (NaN at
+    step 0) and target correlation (NaN without a target); a shadow run also
+    fills ``noise_component_norms`` with ||xi_t||, which is 0 otherwise.  A
+    block run keeps only ``final_x`` and the per-column ``iterations`` and
+    ``stop_reasons``.
     """
 
-    def __init__(self, trace_level):
-        self.trace_level = trace_level
+    def __init__(self):
+        self.xs = []
         self.unnormalized_norms = []
         self.target_correlations = []
         self.noise_component_norms = []
-        self.xs = []
         self.final_x = None
         self.stop_reason = "max-iters"
-        self._n = 0
 
-    def _append(self, x, unnorm, corr, xi_norm):
-        self.final_x = x
-        self._n += 1
-        if self.trace_level == "none":
-            return
+    def _append(self, x, unnorm, target):
+        """Record one step; returns |<x, target>|, NaN without a target."""
+        self.xs.append(x)
         self.unnormalized_norms.append(unnorm)
-        self.target_correlations.append(corr)
-        self.noise_component_norms.append(xi_norm)
-        if self.trace_level == "full":
-            self.xs.append(x.copy())
+        self.target_correlations.append(float(x @ target) if target is not None else float("nan"))
+        self.noise_component_norms.append(0.0)
+        return abs(self.target_correlations[-1])
 
     def __len__(self):
-        return self._n
+        return 1 + int(self.iterations.max())
 
     @property
     def correlations(self):
@@ -101,16 +96,6 @@ class IterationTrace:
     def peak_correlation(self):
         c = self.correlations
         return float(np.nanmax(np.abs(c))) if len(c) else float("nan")
-
-    def steps(self):
-        """Yield per-step dicts (iteration, correlation, unnorm norm, noise norm)."""
-        for i in range(len(self.target_correlations)):
-            yield {
-                "iteration": i,
-                "correlation": self.target_correlations[i],
-                "unnormalized_norm": self.unnormalized_norms[i],
-                "noise_norm": self.noise_component_norms[i],
-            }
 
 
 def _norms(v):
@@ -148,23 +133,12 @@ def power_step(tensor, x):
     return _normalize(contract_1(tensor, x, x), "T(I, x, x)")
 
 
-def _target_column(ground_truth, config, matrix="components"):
-    if config.track_target is None:
-        return None
-    if ground_truth is None:
-        raise InvalidArgumentError("track_target set but no ground truth supplied")
-    j = config.track_target
-    if not (0 <= j < ground_truth.rank):
-        raise InvalidArgumentError("track_target out of range")
-    return getattr(ground_truth, matrix)[:, j]
-
-
-def run_power(tensor, x0, config=None, ground_truth=None):
+def run_power(tensor, x0, config=None, target=None):
     """Iterate power updates from x0, recording a trace.
 
-    Stops early when the tracked correlation reaches 1 - gamma, or when
-    successive iterates agree up to sign (a fixed point).  Always
-    runs at most ``max_iters`` updates.
+    Stops early when |<x, target>| reaches 1 - gamma (given a unit
+    ``target``), or when successive iterates agree up to sign (a fixed
+    point).  Always runs at most ``max_iters`` updates.
 
     A d x m block x0 runs m starts at once: each step is one block
     contraction over the columns still moving, and each column stops on its
@@ -172,25 +146,22 @@ def run_power(tensor, x0, config=None, ground_truth=None):
     ``trace.stop_reasons`` hold the per-column counts and reasons,
     ``trace.final_x`` the d x m block of final iterates, ``len(trace)`` the
     block steps plus one, and ``trace.stop_reason`` is "fixed-point" only
-    when every column reached one.  Block runs need trace_level "none" and
-    no track_target.
+    when every column reached one.  A block takes no target.
     """
     config = config or PowerConfig()
     x = _check_unit(x0).copy()
     block = x.ndim == 2
-    if block and (config.trace_level != "none" or config.track_target is not None):
-        raise InvalidArgumentError("a block of starts needs trace_level 'none' and no track_target")
+    if target is not None and (block or np.shape(target) != x.shape):
+        raise InvalidArgumentError("a target is one vector as long as the start; blocks take none")
     n_iters = config.max_iters or default_max_iters(tensor.dim)
-    target = _target_column(ground_truth, config)
-    corr = float(x @ target) if target is not None else float("nan")
+    stop = 1.0 - config.convergence_gamma
 
-    trace = IterationTrace(config.trace_level)
-    trace._append(x, float("nan"), corr, 0.0)
+    trace = IterationTrace()
     m = x.shape[1] if block else 1
     iterations = np.zeros(m, dtype=int)
     reasons = ["max-iters"] * m
     active = np.arange(m)
-    if target is not None and abs(corr) >= 1.0 - config.convergence_gamma:
+    if not block and trace._append(x, float("nan"), target) >= stop:
         reasons[0] = "target-correlation"
         active = active[:0]
     for _ in range(n_iters):
@@ -203,23 +174,21 @@ def run_power(tensor, x0, config=None, ground_truth=None):
             x[:, active] = x_next
         else:
             x = x_next
-            corr = float(x @ target) if target is not None else float("nan")
-            trace._append(x, unnorm, corr, 0.0)
-            if target is not None and abs(corr) >= 1.0 - config.convergence_gamma:
+            if trace._append(x, unnorm, target) >= stop:
                 reasons[0] = "target-correlation"
                 break
         fixed = np.atleast_1d(_fixed_point(x_next, x_prev))
         for j in active[fixed]:
             reasons[j] = "fixed-point"
         active = active[~fixed]
+    trace.final_x = x
     trace.iterations = iterations
     trace.stop_reasons = reasons
     trace.stop_reason = "max-iters" if "max-iters" in reasons else reasons[0]
-    trace._n = 1 + int(iterations.max())
     return trace
 
 
-def run_power_asymmetric(tensor, x0, y0, z0, config=None, ground_truth=None):
+def run_power_asymmetric(tensor, x0, y0, z0, config=None, targets=None):
     """Three-vector power iteration for per-mode component matrices.
 
     Each sweep computes x1 <- T(I, x2, x3), x2 <- T(x1, I, x3),
@@ -227,7 +196,9 @@ def run_power_asymmetric(tensor, x0, y0, z0, config=None, ground_truth=None):
     iterates from the previous sweep, so with identical component matrices
     and identical starts each mode reproduces the symmetric run exactly.
     Modes 2 and 3 are mode-1 contractions of the tensor with its component
-    matrices rotated.  Returns one trace per mode.
+    matrices rotated.  ``targets`` is None or one unit vector per mode; the
+    run stops early once every mode is within gamma of its target.  Returns
+    one trace per mode.
     """
     if not isinstance(tensor, FactoredTensor3):
         raise InvalidArgumentError("asymmetric runs need a FactoredTensor3")
@@ -236,37 +207,35 @@ def run_power_asymmetric(tensor, x0, y0, z0, config=None, ground_truth=None):
     A, B, C, w = tensor.components, tensor.components_b, tensor.components_c, tensor.weights
     modes = (tensor, FactoredTensor3(B, w, A, C), FactoredTensor3(C, w, A, B))
     vecs = [_check_unit(v).copy() for v in (x0, y0, z0)]
-    targets = [_target_column(ground_truth, config, m)
-               for m in ("components", "components_b", "components_c")]
+    targets = targets or (None, None, None)
 
-    traces = [IterationTrace(config.trace_level) for _ in range(3)]
+    traces = [IterationTrace() for _ in range(3)]
     for tr, v, tg in zip(traces, vecs, targets):
-        corr = float(v @ tg) if tg is not None else float("nan")
-        tr._append(v, float("nan"), corr, 0.0)
-    for _ in range(n_iters):
+        tr._append(v, float("nan"), tg)
+    for sweeps in range(1, n_iters + 1):
         x1, x2, x3 = vecs
         updates = [contract_1(t, v, u) for t, (v, u) in zip(modes, ((x2, x3), (x1, x3), (x1, x2)))]
         prev, vecs = vecs, []
         done_fixed, done_target = True, targets[0] is not None
         for i, (tr, raw, tg) in enumerate(zip(traces, updates, targets)):
             v, nrm = _normalize(raw, f"mode-{i + 1} contraction")
-            corr = float(v @ tg) if tg is not None else float("nan")
-            tr._append(v, nrm, corr, 0.0)
             vecs.append(v)
+            reached = tr._append(v, nrm, tg) >= 1.0 - config.convergence_gamma
+            done_target = done_target and reached
             done_fixed = done_fixed and _fixed_point(v, prev[i])
-            if tg is not None and abs(corr) < 1.0 - config.convergence_gamma:
-                done_target = False
         if done_fixed or done_target:
             for tr in traces:
                 tr.stop_reason = "fixed-point" if done_fixed else "target-correlation"
             break
+    for tr, v in zip(traces, vecs):
+        tr.final_x, tr.iterations = v, np.array([sweeps])
     return tuple(traces)
 
 
-def run_power_with_shadow(perturbed, x0, config=None, ground_truth=None):
+def run_power_with_shadow(perturbed, x0, config=None, target=None):
     """Noisy power iteration with an exact-tensor shadow decomposition.
 
-    Runs ``run_power`` on T + E, then recomputes the split
+    Runs ``run_power`` on T + E from one start, then recomputes the split
     ``x_hat = x + xi`` from its iterates: the shadow starts at x_hat_0 and is
     advanced by the exact-tensor update applied to the current shadow and
     renormalized by the *noisy* update's norm,
@@ -277,22 +246,17 @@ def run_power_with_shadow(perturbed, x0, config=None, ground_truth=None):
     the two trajectories coincide bitwise and ||xi|| is exactly 0 at every
     step.
 
-    The recorded iterate and correlations refer to the noisy trajectory;
+    The recorded iterates and correlations are the noisy run's own;
     ``noise_component_norms`` carries ||xi||.  Once ||xi|| is of order one
     the shadow has decohered from the noisy run and its norm grows or decays
     doubly exponentially — the trace reports this honestly rather than
     clamping it.
     """
-    if not isinstance(perturbed, PerturbedTensor):
-        raise InvalidArgumentError("run_power_with_shadow needs a PerturbedTensor")
-    config = config or PowerConfig()
-    noisy = run_power(perturbed, x0, replace(config, trace_level="full"), ground_truth)
-    trace = IterationTrace(config.trace_level)
-    shadow = noisy.xs[0]
-    for t, (x_hat, nrm) in enumerate(zip(noisy.xs, noisy.unnormalized_norms)):
-        if t:
-            shadow = contract_1(perturbed.signal, shadow, shadow) / nrm
-        xi_norm = float(np.linalg.norm(x_hat - shadow))
-        trace._append(x_hat, nrm, noisy.target_correlations[t], xi_norm)
-    trace.stop_reason = noisy.stop_reason
+    if not isinstance(perturbed, PerturbedTensor) or np.ndim(x0) != 1:
+        raise InvalidArgumentError("run_power_with_shadow needs a PerturbedTensor and one start")
+    trace = run_power(perturbed, x0, config, target)
+    shadow = trace.xs[0]
+    for t in range(1, len(trace.xs)):
+        shadow = contract_1(perturbed.signal, shadow, shadow) / trace.unnormalized_norms[t]
+        trace.noise_component_norms[t] = float(np.linalg.norm(trace.xs[t] - shadow))
     return trace

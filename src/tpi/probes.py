@@ -17,7 +17,6 @@ results are identical for any thread count.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,41 +214,6 @@ class ConstraintChain:
         return qc, qr_
 
 
-@dataclass
-class ConditioningCheck:
-    """Monte Carlo verdict on a Gaussian conditioning identity.
-
-    All thresholds are explicit: mean deviations are z-scored against the
-    exact per-entry standard errors, variances against their chi-square
-    standard errors, and residual-orthogonality against an absolute 1e-10.
-    """
-
-    kind: str
-    sample_count: int
-    d: int
-    k: int
-    sigma2: float
-    chain_length: int
-    se_band: float
-    mean_max_z: float
-    mean_max_abs_dev: float
-    mean_ok: bool
-    cov_max_z: float
-    cov_ok: bool
-    var_ratio: float | None
-    orthogonality_residual: float
-    orthogonality_ok: bool
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.sample_count < 100:
-            raise InvalidArgumentError("need at least 100 samples")
-
-    def to_json(self):
-        return dict(self.__dict__)
-
-
 # The sampler's and the moment sums' products are long enough for OpenBLAS
 # to split across its threads, which moves their last bits; one thread keeps
 # the report the same at any BLAS thread count.
@@ -264,6 +228,10 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
     row covariance against sigma2 * (projector orthogonal to v), both at a
     4-standard-error band.  Rows are exactly orthogonal to v after the
     closed-form mean is removed; the worst violation is reported.
+
+    Returns a JSON-ready dict: the verdicts mean_ok, cov_ok,
+    orthogonality_ok and passed, the z-scores and residuals behind them,
+    and capped raw figures under ``details``.
     """
     if trials < 100:
         raise InvalidArgumentError("need at least 100 trials")
@@ -333,7 +301,7 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
 
     orth_ok = bool(orth_res <= max(_ORTH_TOL, 1e-12 * np.abs(u).max()))
     passed = mean_ok and cov_ok and orth_ok
-    return ConditioningCheck(
+    return dict(
         kind="single-constraint",
         sample_count=trials, d=d, k=k, sigma2=float(sigma2), chain_length=1,
         se_band=_SE_BAND,
@@ -379,6 +347,8 @@ def check_iterative_conditioning(d, k, chain_length, trials, seed,
     * the residual mean is zero at a 4-standard-error band,
     * the residual variance in the unconstrained directions equals sigma2,
       pooled (4 SE) and per position (4 SE), with the pooled ratio reported.
+
+    Returns a dict with the same keys as ``check_conditioning_lemma``'s.
     """
     if not 1 <= chain_length <= 5:
         raise InvalidArgumentError("constraint chain length must be in [1, 5]")
@@ -455,7 +425,7 @@ def check_iterative_conditioning(d, k, chain_length, trials, seed,
 
     orth_ok = bool(orth_res <= _ORTH_TOL * max(1.0, math.sqrt(sigma2 * k)))
     passed = mean_ok and cov_ok and orth_ok
-    return ConditioningCheck(
+    return dict(
         kind="iterative-chain",
         sample_count=trials, d=d, k=k, sigma2=float(sigma2),
         chain_length=chain_length,
@@ -485,28 +455,6 @@ def check_iterative_conditioning(d, k, chain_length, trials, seed,
 # fresh-randomness lower bound
 
 
-@dataclass
-class FreshRandomnessReport:
-    """Monte Carlo verdict on the squared-shift fresh-randomness bound."""
-
-    d: int
-    k: int
-    t: int
-    trials: int
-    bound: float
-    pass_rates: dict
-    min_ratios: dict
-    mean_w_norm: float
-    regime_ok: bool
-    regime_limit: float
-    enforce_regime: bool
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return dict(self.__dict__)
-
-
 _SHIFT_KINDS = ("zero", "dense", "spiky", "random")
 
 
@@ -523,7 +471,8 @@ def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
     The asymptotic statement carries the regime t <= k/(16 log^2 k) (natural
     log here), which no desk-scale (k, t) of interest satisfies; by default
     the regime is only reported, and enforce_regime=True turns violation
-    into an error.
+    into an error.  Returns a JSON-ready dict of per-kind pass rates and
+    minimum ratios, the regime figures and the verdict ``passed``.
     """
     d, k, t = int(d), int(k), int(t)
     if t < 0 or t >= k:
@@ -581,7 +530,7 @@ def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
                   for kind, vals in ratios.items()}
     min_ratios = {kind: float(np.min(vals)) for kind, vals in ratios.items()}
     passed = all(rate >= 0.99 for rate in pass_rates.values())
-    return FreshRandomnessReport(
+    return dict(
         d=d, k=k, t=t, trials=trials, bound=float(bound),
         pass_rates=pass_rates, min_ratios=min_ratios,
         mean_w_norm=float(np.mean(w_norms)),
@@ -599,25 +548,6 @@ def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
 # mixed-norm contraction bound
 
 
-@dataclass
-class MixedNormReport:
-    """Monte Carlo verdict on the star-norm-weighted contraction bound."""
-
-    d: int
-    k: int
-    trials: int
-    max_ratio: float
-    bound: float
-    fitted_c: float
-    tiny_max_ratio: float
-    aligned_min_cos: float
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return dict(self.__dict__)
-
-
 def check_mixed_norm_bound(d, k, trials, seed, threads=None):
     """Check the two-vector contraction bound under the max-correlation norm.
 
@@ -632,7 +562,8 @@ def check_mixed_norm_bound(d, k, trials, seed, threads=None):
     against, and the fitted constant max_ratio/ln(d).  Two side probes are
     included: u scaled to a 1e-6 max-correlation must give a near-zero
     contraction, and (u, v) aligned with one dictionary column must recover
-    that column's direction.
+    that column's direction.  Returns a JSON-ready dict of these figures
+    and the verdict ``passed``.
     """
     d, k = int(d), int(k)
     if k <= d:
@@ -671,7 +602,7 @@ def check_mixed_norm_bound(d, k, trials, seed, threads=None):
     bound = 10.0 * math.log(d)
     max_ratio = float(ratios.max())
     passed = bool(max_ratio <= bound)
-    return MixedNormReport(
+    return dict(
         d=d, k=k, trials=trials,
         max_ratio=max_ratio, bound=float(bound),
         fitted_c=float(max_ratio / math.log(d)),

@@ -244,6 +244,13 @@ _GEN_SAMPLES = {"schema": 1, "kind": "generate", "what": "samples", "d": 6, "k":
     # 0 used to mean "no cap"
     pytest.param(dict(_TENSOR, cluster={"max_components": 0}), id="cluster-max-components"),
     pytest.param(dict(_POOLED, cluster={"max_components": 3}), id="pooled-max-components"),
+    # no decomposition runs without compare_decomposition
+    pytest.param(dict(_POOLED, power={"max_iters": 3}), id="pooled-power-without-decomposition"),
+    pytest.param(dict(_POOLED, cluster={"nu": 0.9}), id="pooled-cluster-without-decomposition"),
+    # an absent max_iters means 15 steps, so null would be a second default
+    pytest.param(dict(_BASE, power={"max_iters": None}), id="dynamics-max-iters-null"),
+    pytest.param(dict(_BASE, kind="noise-sweep", noise_norm_factors=[0.1],
+                      power={"max_iters": None}), id="noise-sweep-max-iters-null"),
 ])
 def test_malformed_config_exits_two(tmp_path, capsys, doc):
     command = {"dynamics": "dynamics", "noise-sweep": "dynamics", "probe": "probe",

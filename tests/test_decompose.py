@@ -1,12 +1,9 @@
-import sys
-
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from tpi.decompose import (
     ClusterConfig,
-    _greedy_assign,
     _optimal_assign,
     decompose,
     learn_multiview,
@@ -92,52 +89,12 @@ def test_match_and_score_missing_columns():
     assert rep.missed == [3, 4]
 
 
-def _greedy_match(monkeypatch, E, T):
-    """match_and_score with every size above the optimal-assignment limit."""
-    with monkeypatch.context() as patch:
-        patch.setattr(sys.modules["tpi.decompose"], "_ASSIGNMENT_LIMIT", 1)
-        return match_and_score(E, T)
-
-
-def test_match_and_score_greedy_agrees_on_easy_case(monkeypatch):
+def test_match_and_score_reversed_columns():
     A = orthonormal(6, 6, 68)
     T = FactoredTensor3(A, np.ones(6))
-    E = A[:, ::-1].copy()
-    opt = match_and_score(E, T)
-    gre = _greedy_match(monkeypatch, E, T)
-    assert list(opt.permutation) == list(gre.permutation)
-    assert opt.frobenius_error == gre.frobenius_error
-
-
-def test_match_and_score_greedy_equals_optimal_where_greedy_is_optimal(monkeypatch):
-    # Five noisy estimates of distinct truth columns out of seven: each
-    # estimate's best truth column is its own, so greedy is optimal.
-    A = orthonormal(9, 7, 69)
-    T = FactoredTensor3(A, np.ones(7))
-    perm = [4, 0, 6, 2, 5]
-    signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
-    E = A[:, perm] * signs + 0.05 * stream(69, 53).standard_normal((9, 5))
-    E /= np.linalg.norm(E, axis=0)
-    opt = match_and_score(E, T)
-    gre = _greedy_match(monkeypatch, E, T)
-    assert list(opt.permutation) == perm
-    for field_name in ("permutation", "signs", "per_component_correlations"):
-        assert np.array_equal(getattr(gre, field_name), getattr(opt, field_name))
-    assert gre.frobenius_error == opt.frobenius_error
-    assert gre.missed == opt.missed == [1, 3]
-    assert gre.matched_pairs == opt.matched_pairs == 5
-
-
-def test_match_and_score_switches_to_greedy_above_limit(monkeypatch):
-    # |E^T A| = [[0.9, 0.8], [0.8, 0.1]]: greedy takes 0.9 + 0.1, the optimal
-    # assignment 0.8 + 0.8.
-    T = FactoredTensor3(np.eye(2), np.ones(2))
-    E = np.array([[0.9, 0.8], [0.8, 0.1]])
-    assert list(match_and_score(E, T).permutation) == [1, 0]
-    rows, cols = _greedy_assign(np.abs(E.T @ T.components))
-    assert list(rows) == [0, 1] and list(cols) == [0, 1]
-    monkeypatch.setattr(sys.modules["tpi.decompose"], "_ASSIGNMENT_LIMIT", 1)
-    assert list(match_and_score(E, T).permutation) == [0, 1]
+    rep = match_and_score(A[:, ::-1].copy(), T)
+    assert list(rep.permutation) == [5, 4, 3, 2, 1, 0]
+    assert rep.frobenius_error == 0.0
 
 
 @pytest.mark.parametrize("m, k", [(7, 12), (12, 7), (1, 9), (9, 1), (10, 10), (30, 45)])

@@ -65,7 +65,7 @@ def test_power_step_requires_unit_iterate():
     with pytest.raises(InvalidArgumentError):
         run_power(T, nan, PowerConfig(max_iters=3))
     with pytest.raises(InvalidArgumentError):
-        run_power(T, np.column_stack([A[:, 0], nan]), PowerConfig(max_iters=3, trace_level="none"))
+        run_power(T, np.column_stack([A[:, 0], nan]), PowerConfig(max_iters=3))
 
 
 def test_degenerate_contraction_raises():
@@ -94,8 +94,8 @@ def test_orthogonal_convergence_from_warm_start():
     for j in range(d):
         x0 = A[:, j] + 0.3 * rng.standard_normal(d)
         x0 /= np.linalg.norm(x0)
-        cfg = PowerConfig(max_iters=40, convergence_gamma=1e-9, track_target=j)
-        trace = run_power(T, x0, cfg, ground_truth=T)
+        cfg = PowerConfig(max_iters=40, convergence_gamma=1e-9)
+        trace = run_power(T, x0, cfg, target=A[:, j])
         assert trace.final_correlation() >= 1 - 1e-8
 
 
@@ -118,8 +118,8 @@ def test_trace_shape_and_stop_reasons():
     A = orthonormal(6, 6, 4)
     T = FactoredTensor3(A, np.ones(6))
     x0 = A[:, 0]
-    cfg = PowerConfig(max_iters=5, track_target=0)
-    trace = run_power(T, x0, cfg, ground_truth=T)
+    cfg = PowerConfig(max_iters=5)
+    trace = run_power(T, x0, cfg, target=A[:, 0])
     # starting exactly on a component: stop at step 0
     assert trace.stop_reason == "target-correlation"
     assert len(trace) == 1
@@ -146,7 +146,7 @@ def test_block_run_matches_per_column_runs():
         starts.append(A[:, j] + noise * rng.standard_normal(d))
     starts += [rng.standard_normal(d) for _ in range(2)]
     X0 = np.column_stack([x / np.linalg.norm(x) for x in starts])
-    cfg = PowerConfig(max_iters=4, trace_level="none")
+    cfg = PowerConfig(max_iters=4)
 
     block = run_power(T, X0, cfg)
     singles = [run_power(T, X0[:, j], cfg) for j in range(X0.shape[1])]
@@ -167,14 +167,9 @@ def test_block_run_matches_per_column_runs():
 def test_block_run_checks_its_columns():
     A = orthonormal(4, 4, 7)
     T = FactoredTensor3(A, np.ones(4))
-    cfg = PowerConfig(max_iters=3, trace_level="none")
+    cfg = PowerConfig(max_iters=3)
     with pytest.raises(InvalidArgumentError):
         run_power(T, np.column_stack([A[:, 0], 2.0 * A[:, 1]]), cfg)
-    with pytest.raises(InvalidArgumentError):
-        run_power(T, A[:, :2], PowerConfig(max_iters=3))
-    with pytest.raises(InvalidArgumentError):
-        run_power(T, A[:, :2], PowerConfig(max_iters=3, trace_level="none", track_target=0),
-                  ground_truth=T)
     # odd tensor: T(I, x, x) = 0 at x = e_2 when the single component is e_1
     a = np.zeros(4)
     a[0] = 1.0
@@ -183,14 +178,30 @@ def test_block_run_checks_its_columns():
         run_power(odd, np.eye(4)[:, :2], cfg)
 
 
+def test_block_run_refuses_a_target():
+    # a block records no per-step correlations, so it has nothing to stop on;
+    # a vector run takes one target of its own length
+    A = orthonormal(4, 4, 7)
+    T = FactoredTensor3(A, np.ones(4))
+    cfg = PowerConfig(max_iters=3)
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, A[:, :2], cfg, target=A[:, 0])
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, A[:, 0], cfg, target=A[:3, 0])
+    P = PerturbedTensor(T, symmetrize(np.zeros((4, 4, 4))))
+    with pytest.raises(InvalidArgumentError):
+        run_power_with_shadow(P, A[:, :2], cfg)
+
+
 def test_full_trace_records_iterates():
     A = random_components(7, 11, seed=5)
     T = FactoredTensor3(A, np.ones(11))
     x0 = A[:, 0]
-    cfg = PowerConfig(max_iters=4, trace_level="full", convergence_gamma=1e-12)
+    cfg = PowerConfig(max_iters=4, convergence_gamma=1e-12)
     trace = run_power(T, x0, cfg)
-    assert len(trace.xs) == len(trace)
+    assert len(trace.xs) == len(trace) == len(trace.unnormalized_norms)
     assert np.array_equal(trace.xs[0], x0) and np.array_equal(trace.xs[-1], trace.final_x)
+    assert np.all(np.isnan(trace.correlations)) and not np.any(trace.noise_norms)
 
 
 def test_asymmetric_reduces_to_symmetric():
@@ -212,7 +223,7 @@ def test_asymmetric_sweep_matches_dense_contractions():
     E = densify(T).entries
     rng = stream(21, 58)
     x1, x2, x3 = (v / np.linalg.norm(v) for v in rng.standard_normal((3, d)))
-    traces = run_power_asymmetric(T, x1, x2, x3, PowerConfig(max_iters=1, trace_level="full"))
+    traces = run_power_asymmetric(T, x1, x2, x3, PowerConfig(max_iters=1))
     refs = (np.einsum("ijk,j,k->i", E, x2, x3),
             np.einsum("ijk,i,k->j", E, x1, x3),
             np.einsum("ijk,i,j->k", E, x1, x2))
@@ -237,9 +248,9 @@ def test_asymmetric_recovers_modes_from_warm_start():
             v = col + 0.25 * rng.standard_normal(d)
             return v / np.linalg.norm(v)
 
-        cfg = PowerConfig(max_iters=30, track_target=0)
+        cfg = PowerConfig(max_iters=30)
         tra, trb, trc = run_power_asymmetric(
-            T, warm(A[:, 0]), warm(B[:, 0]), warm(C[:, 0]), cfg, ground_truth=T
+            T, warm(A[:, 0]), warm(B[:, 0]), warm(C[:, 0]), cfg, targets=(A[:, 0], B[:, 0], C[:, 0])
         )
         mins.append(
             min(
@@ -259,9 +270,9 @@ def test_shadow_with_zero_noise_matches_clean_run():
     zero = symmetrize(np.zeros((12, 12, 12)))
     P = PerturbedTensor(T, zero)
     x0 = A[:, 0]
-    cfg = PowerConfig(max_iters=6, convergence_gamma=1e-12, track_target=0)
-    clean = run_power(T, x0, cfg, ground_truth=T)
-    noisy = run_power_with_shadow(P, x0, cfg, ground_truth=T)
+    cfg = PowerConfig(max_iters=6, convergence_gamma=1e-12)
+    clean = run_power(T, x0, cfg, target=A[:, 0])
+    noisy = run_power_with_shadow(P, x0, cfg, target=A[:, 0])
     assert np.array_equal(clean.final_x, noisy.final_x)
     assert np.max(noisy.noise_norms) == 0.0
 
@@ -276,8 +287,8 @@ def test_shadow_noise_norm_small_for_small_noise():
     P = PerturbedTensor(T, noise)
     x0 = A[:, 0] + 0.2 * stream(9, 55).standard_normal(d)
     x0 /= np.linalg.norm(x0)
-    cfg = PowerConfig(max_iters=3, convergence_gamma=1e-12, track_target=0)
-    trace = run_power_with_shadow(P, x0, cfg, ground_truth=T)
+    cfg = PowerConfig(max_iters=3, convergence_gamma=1e-12)
+    trace = run_power_with_shadow(P, x0, cfg, target=A[:, 0])
     assert trace.noise_norms[0] == 0.0
     assert np.max(trace.noise_norms) < 0.01
 
@@ -294,8 +305,8 @@ def test_shadow_split_matches_plain_recursion_at_nonzero_noise():
     P = PerturbedTensor(T, noise)
     x0 = A[:, 0] + 0.5 * stream(10, 55).standard_normal(d)
     x0 /= np.linalg.norm(x0)
-    cfg = PowerConfig(max_iters=8, convergence_gamma=1e-12, track_target=0)
-    trace = run_power_with_shadow(P, x0, cfg, ground_truth=T)
+    cfg = PowerConfig(max_iters=8, convergence_gamma=1e-12)
+    trace = run_power_with_shadow(P, x0, cfg, target=A[:, 0])
 
     Eflat = noise.entries.reshape(d * d, d)
     Td = densify(T).entries + noise.entries

@@ -122,16 +122,21 @@ def test_constraint_chain_rejects_overlapping_target():
         chain2.add_right(rng.standard_normal(k), x1)
 
 
+# the keys of both conditioning checks' dicts, as report.json stores them
+_CONDITIONING_KEYS = set("kind sample_count d k sigma2 chain_length se_band mean_max_z "
+                         "mean_max_abs_dev mean_ok cov_max_z cov_ok var_ratio "
+                         "orthogonality_residual orthogonality_ok passed details".split())
+
+
 def test_conditioning_lemma_frozen_seed():
     rep = check_conditioning_lemma(20, 30, 1.0, 10000, seed=0)
-    assert rep.passed
-    assert rep.kind == "single-constraint"
-    assert rep.sample_count == 10000
-    assert rep.orthogonality_residual < 1e-10
-    assert rep.mean_max_z < rep.se_band
-    assert rep.cov_max_z < rep.se_band
-    doc = rep.to_json()
-    assert doc["passed"] is True
+    assert rep["passed"] is True
+    assert rep["kind"] == "single-constraint"
+    assert rep["sample_count"] == 10000
+    assert rep["orthogonality_residual"] < 1e-10
+    assert rep["mean_max_z"] < rep["se_band"]
+    assert rep["cov_max_z"] < rep["se_band"]
+    assert set(rep) == _CONDITIONING_KEYS
 
 
 def test_conditioning_lemma_basis_vector_structure():
@@ -142,8 +147,8 @@ def test_conditioning_lemma_basis_vector_structure():
     rng = stream(85, 2)
     u = rng.standard_normal(d)
     rep = check_conditioning_lemma(d, k, 1.0, 5000, seed=1, u=u, v=v)
-    assert rep.passed
-    closed = np.asarray(rep.details["closed_mean"]).reshape(d, k)
+    assert rep["passed"]
+    closed = np.asarray(rep["details"]["closed_mean"]).reshape(d, k)
     assert np.max(np.abs(closed[:, 0] - u)) < 1e-12
     assert np.max(np.abs(closed[:, 1:])) == 0.0
 
@@ -152,8 +157,8 @@ def test_conditioning_lemma_zero_target():
     d, k = 10, 14
     v = stream(86, 2).standard_normal(k)
     rep = check_conditioning_lemma(d, k, 2.0, 5000, seed=2, u=np.zeros(d), v=v)
-    assert rep.passed
-    assert np.max(np.abs(np.asarray(rep.details["closed_mean"]))) == 0.0
+    assert rep["passed"]
+    assert np.max(np.abs(np.asarray(rep["details"]["closed_mean"]))) == 0.0
 
 
 def test_conditioning_check_needs_enough_samples():
@@ -164,24 +169,25 @@ def test_conditioning_check_needs_enough_samples():
 def test_conditioning_thread_count_invariance():
     a = check_conditioning_lemma(8, 10, 1.0, 2048, seed=7, threads=1)
     b = check_conditioning_lemma(8, 10, 1.0, 2048, seed=7, threads=3)
-    assert a.mean_max_z == b.mean_max_z
-    assert a.cov_max_z == b.cov_max_z
-    assert a.orthogonality_residual == b.orthogonality_residual
+    assert a["mean_max_z"] == b["mean_max_z"]
+    assert a["cov_max_z"] == b["cov_max_z"]
+    assert a["orthogonality_residual"] == b["orthogonality_residual"]
 
 
 def test_iterative_conditioning_frozen_seed():
     rep = check_iterative_conditioning(30, 40, 3, 10000, seed=0)
-    assert rep.passed
-    assert rep.kind == "iterative-chain"
-    assert rep.chain_length == 3
-    assert rep.orthogonality_residual < 1e-10
-    assert rep.var_ratio is not None and 0.9 <= rep.var_ratio <= 1.1
+    assert rep["passed"]
+    assert rep["kind"] == "iterative-chain"
+    assert rep["chain_length"] == 3
+    assert rep["orthogonality_residual"] < 1e-10
+    assert rep["var_ratio"] is not None and 0.9 <= rep["var_ratio"] <= 1.1
+    assert set(rep) == _CONDITIONING_KEYS
 
 
 def test_iterative_chain_one_matches_single():
     rep = check_iterative_conditioning(10, 12, 1, 4000, seed=3)
-    assert rep.passed
-    assert rep.chain_length == 1
+    assert rep["passed"]
+    assert rep["chain_length"] == 1
 
 
 def test_iterative_conditioning_chain_bounds():
@@ -198,33 +204,37 @@ def test_iterative_conditioning_chain_bounds():
 def test_fresh_randomness_anchor_t_zero():
     # with no conditioning, E||z*z|| = sqrt(3k) up to O(1/k) corrections
     rep = check_fresh_randomness(50, 400, 0, 512, seed=0)
-    assert rep.passed
-    assert abs(rep.mean_w_norm / np.sqrt(3 * 400) - 1.0) < 0.05
-    assert rep.regime_ok  # t=0 is inside any regime
+    assert rep["passed"]
+    assert abs(rep["mean_w_norm"] / np.sqrt(3 * 400) - 1.0) < 0.05
+    assert rep["regime_ok"]  # t=0 is inside any regime
 
 
 def test_fresh_randomness_conditioned_chain():
     rep = check_fresh_randomness(100, 400, 5, 512, seed=0)
-    assert rep.passed
-    assert set(rep.pass_rates) == {"zero", "dense", "spiky", "random"}
-    for rate in rep.pass_rates.values():
+    assert rep["passed"]
+    assert set(rep) == set("d k t trials bound pass_rates min_ratios mean_w_norm regime_ok "
+                           "regime_limit enforce_regime passed details".split())
+    assert set(rep["pass_rates"]) == {"zero", "dense", "spiky", "random"}
+    for rate in rep["pass_rates"].values():
         assert rate >= 0.99
-    for ratio in rep.min_ratios.values():
+    for ratio in rep["min_ratios"].values():
         assert ratio >= 1.0
     # t=5 exceeds k / (16 log^2 k) at k=400: flagged, not fatal by default
-    assert not rep.regime_ok
+    assert not rep["regime_ok"]
     with pytest.raises(InvalidArgumentError):
         check_fresh_randomness(100, 400, 5, 512, seed=0, enforce_regime=True)
 
 
 def test_mixed_norm_bound_frozen_seed():
     rep = check_mixed_norm_bound(100, 300, 200, seed=0)
-    assert rep.passed
-    assert rep.max_ratio <= rep.bound
+    assert rep["passed"]
+    assert set(rep) == set("d k trials max_ratio bound fitted_c tiny_max_ratio aligned_min_cos "
+                           "passed details".split())
+    assert rep["max_ratio"] <= rep["bound"]
     # measured 0.49 at this seed; the bound 10*ln(d) is very loose
-    assert rep.max_ratio < 1.0
-    assert rep.tiny_max_ratio < 1e-5
-    assert rep.aligned_min_cos > 0.8
+    assert rep["max_ratio"] < 1.0
+    assert rep["tiny_max_ratio"] < 1e-5
+    assert rep["aligned_min_cos"] > 0.8
 
 
 def test_mixed_norm_needs_overcomplete():
