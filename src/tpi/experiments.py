@@ -44,12 +44,14 @@ from .probes import (
     quadratic_progress_ok,
 )
 from .rng import map_in_order as _map_seeds, stream
-# symmetrize and scale_noise_to are no longer called here; they stay importable
-# from this module because perfbench's tracer looks them up on it
+# symmetrize and scale_noise_to are not called here (_noise_tensor runs the
+# same orbit average and scaling in its own buffer); they stay importable from
+# this module because perfbench's tracer looks them up on it
 from .tensors import (
     DenseTensor3,
     FactoredTensor3,
     PerturbedTensor,
+    _average_orbits,
     densify,
     random_components,
     scale_noise_to,
@@ -60,10 +62,6 @@ from .container import save_tensor
 
 _FLOAT_FMT = "%.17g"
 SCHEMA_VERSION = 1
-
-# The noise tensor's normal draw arrives in row slabs of at most this many
-# doubles (2 MB), so the d^3 buffer is the only large array of its build.
-_NOISE_SLAB = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +385,11 @@ def _noise_tensor(d, target_norm, seed):
     """Symmetrized Gaussian d^3 noise scaled to a spectral-norm estimate of
     ``target_norm``, built in one d^3 buffer.
 
-    The draw arrives in row slabs of at most ``_NOISE_SLAB`` doubles (the
-    same numbers as one d^3 draw); each slab's six index permutations are
-    added into the buffer, which is then averaged, estimated and scaled in
-    place.  It equals ``scale_noise_to(symmetrize(draw), ...)`` up to the
-    order of the six-term sums.
+    The draw is averaged over its index orbits, estimated and scaled in
+    place; the result equals ``scale_noise_to(symmetrize(draw), ...)`` bit
+    for bit.
     """
-    rng = stream(seed, 602)
-    out = np.zeros((d, d, d))
-    rows = min(d, max(1, _NOISE_SLAB // (d * d)))
-    buf = np.empty((rows, d, d))
-    for lo in range(0, d, rows):
-        hi = min(lo + rows, d)
-        slab = rng.standard_normal(out=buf[:hi - lo])
-        out[lo:hi] += slab
-        out[lo:hi] += slab.transpose(0, 2, 1)
-        out[:, lo:hi] += slab.transpose(1, 0, 2)
-        out[:, lo:hi] += slab.transpose(2, 0, 1)
-        out[:, :, lo:hi] += slab.transpose(1, 2, 0)
-        out[:, :, lo:hi] += slab.transpose(2, 1, 0)
-    out /= 6.0
+    out = _average_orbits(stream(seed, 602).standard_normal((d, d, d)))
     # estimate on a read-only view, so the buffer itself stays writable
     current = spectral_norm_estimate(DenseTensor3(out.view(), symmetric=True, check=False),
                                      restarts=4, iters=12, seed=seed)

@@ -236,18 +236,37 @@ def densify(tensor, dim_limit=DENSE_DIM_LIMIT):
     return DenseTensor3(E, symmetric=tensor.is_symmetric, check=False)
 
 
+def _average_orbits(E):
+    """Average a cubic float64 array over its six index permutations, in place.
+
+    The entries whose smallest index is i sit in the plane E[i, i:, i:] and
+    the slices E[i:, i, i:] and E[i:, i:, i]; with s their sum, entry (j, l)
+    of (s + s^T) / 6 is the mean of the orbit of (i, i+j, i+l).  All three
+    are read before any is written, and every permutation of an entry gets
+    the same bits, so the result is exactly symmetric.
+    """
+    d = E.shape[0]
+    s_buf, u_buf = np.empty(d * d), np.empty(d * d)
+    for i in range(d):
+        m = d - i
+        s, u = s_buf[:m * m].reshape(m, m), u_buf[:m * m].reshape(m, m)
+        a, b, c = E[i, i:, i:], E[i:, i, i:], E[i:, i:, i]
+        np.add(a, b, out=s)
+        s += c
+        np.add(s, s.T, out=u)
+        u /= 6.0
+        a[...] = u
+        b[...] = u
+        c[...] = u
+    return E
+
+
 def symmetrize(entries):
     """Average an arbitrary cubic array over all six index permutations."""
-    E = np.asarray(entries, dtype=np.float64)
-    out = (
-        E
-        + E.transpose(0, 2, 1)
-        + E.transpose(1, 0, 2)
-        + E.transpose(1, 2, 0)
-        + E.transpose(2, 0, 1)
-        + E.transpose(2, 1, 0)
-    ) / 6.0
-    return DenseTensor3(out, symmetric=True, check=False)
+    E = np.array(entries, dtype=np.float64, order="C")
+    if E.ndim != 3 or len(set(E.shape)) != 1:
+        raise InvalidArgumentError(f"entries must be a cubic 3-d array, got {E.shape}")
+    return DenseTensor3(_average_orbits(E), symmetric=True, check=False)
 
 
 def random_components(d, k, seed):

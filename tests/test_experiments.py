@@ -257,27 +257,16 @@ def test_report_json_is_strict_and_renders_null_as_nan(tmp_path):
     assert "frobenius_error.iqr,nan\n" in render_report(stored, "csv")
 
 
-def test_noise_slab_draws_concatenate_to_the_one_shot_draw():
-    d = 100
-    rows = experiments._NOISE_SLAB // (d * d)
-    assert 1 < rows < d and d % rows  # several slabs, the last one short
-    rng = stream(7, 602)
-    slabs = [rng.standard_normal((min(rows, d - lo), d, d)) for lo in range(0, d, rows)]
-    assert np.array_equal(np.concatenate(slabs), stream(7, 602).standard_normal((d, d, d)))
-
-
-@pytest.mark.parametrize("d, slab", [(100, None), (9, 2 * 81), (9, 1)])
-def test_noise_tensor_matches_symmetrize_of_the_one_shot_draw(monkeypatch, d, slab):
-    # slab 2 * 81: rows of two and a last row alone; slab 1: one row per slab
-    if slab is not None:
-        monkeypatch.setattr(experiments, "_NOISE_SLAB", slab)
+@pytest.mark.parametrize("d", [100, 9, 1])
+def test_noise_tensor_matches_symmetrize_of_the_one_shot_draw(d):
     seed, target = 7, 0.02 * np.sqrt(3 * d) / d
     built = experiments._noise_tensor(d, target, seed)
     raw = stream(seed, 602).standard_normal((d, d, d))
     oracle = scale_noise_to(symmetrize(raw), target, seed=seed, restarts=4, iters=12).entries
     assert built.symmetric and not built.entries.flags.writeable
-    assert np.max(np.abs(built.entries - oracle)) <= 1e-14 * np.max(np.abs(oracle))
-    built._check_symmetry()
+    assert np.array_equal(built.entries, oracle)
+    for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+        assert np.array_equal(built.entries, built.entries.transpose(perm))
 
 
 def test_noise_tensor_holds_one_d_cubed_buffer():
@@ -289,8 +278,8 @@ def test_noise_tensor_holds_one_d_cubed_buffer():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    slab_bytes = (experiments._NOISE_SLAB // (d * d)) * d * d * 8
-    assert peak <= d ** 3 * 8 + slab_bytes + 2 ** 20
+    # the draw itself and the orbit pass's two d^2 buffers
+    assert peak <= d ** 3 * 8 + 2 * d * d * 8 + 2 ** 20
 
 
 # config_hash of every frozen config: a schema change that inserts or drops a

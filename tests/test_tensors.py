@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -69,10 +71,25 @@ def test_symmetrize_is_symmetric_and_idempotent():
     rng = stream(13, 1)
     raw = rng.standard_normal((4, 4, 4))
     S = symmetrize(raw).entries
-    # the six-term sums differ only in addition order across permutations
     for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-        assert np.max(np.abs(S - np.transpose(S, perm))) < 1e-14
+        assert np.array_equal(S, np.transpose(S, perm))
     assert np.allclose(symmetrize(S).entries, S, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [4, 7])
+def test_symmetrize_averages_each_entry_over_its_six_permutations(d):
+    raw = stream(14, d).standard_normal((d, d, d))
+    S = symmetrize(raw).entries
+    for i, j, l in itertools.product(range(d), repeat=3):
+        terms = [raw[p] for p in itertools.permutations((i, j, l))]
+        scale = sum(abs(t) for t in terms) / 6.0
+        assert abs(S[i, j, l] - sum(terms) / 6.0) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4)])
+def test_symmetrize_rejects_non_cubic_arrays(shape):
+    with pytest.raises(InvalidArgumentError):
+        symmetrize(np.zeros(shape))
 
 
 def test_unit_column_enforcement():
