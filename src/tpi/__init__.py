@@ -3,7 +3,6 @@ decompositions, with sample-initialized mixture learning and
 distributional checks of the iteration's dynamics."""
 
 from ._version import __version__
-from .container import load_matrix, load_tensor, save_matrix, save_tensor
 from .decompose import (
     ClusterConfig,
     DecompositionResult,
@@ -20,7 +19,6 @@ from .experiments import (
     load_run,
     render_report,
     run_experiment,
-    run_generate,
 )
 from .models import (
     MixtureModel,

@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Subcommands map onto the experiment kinds: ``generate`` materializes
-tensors or sample batches, ``decompose`` runs recovery and
-sample-complexity experiments, ``dynamics`` runs single-component
+Subcommands map onto the experiment kinds: ``decompose`` runs recovery
+and sample-complexity experiments, ``dynamics`` runs single-component
 iteration studies (with or without a noise sweep), ``probe`` runs the
 distributional and moment checks, and ``report`` re-renders a stored
 run.  Exit codes: 0 success, 1 thresholds failed, 2 bad usage or bad
@@ -14,11 +13,10 @@ import argparse
 import sys
 
 from .errors import DegenerateIterateError, InvalidArgumentError, ResourceBudgetError
-from .experiments import load_config, load_run, render_report, run_experiment, run_generate
+from .experiments import load_config, load_run, render_report, run_experiment
 from .rng import thread_count
 
 _KINDS_FOR = {
-    "generate": ("generate",),
     "decompose": ("recovery", "sample-complexity"),
     "dynamics": ("dynamics", "noise-sweep"),
     "probe": ("probe",),
@@ -40,7 +38,7 @@ def _build_parser():
         prog="tpi",
         description="overcomplete third-order tensor power iteration toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "decompose", "dynamics", "probe"):
+    for name in _KINDS_FOR:
         sub = subs.add_parser(name, help=f"run a {name} config")
         _add_run_flags(sub)
     rep = subs.add_parser("report", help="re-render a stored run")
@@ -70,12 +68,6 @@ def cli(argv=None):
             raise InvalidArgumentError(
                 f"'tpi {args.command}' takes a {' or '.join(expected)} "
                 f"config, got kind {config.kind!r}")
-        if args.command == "generate":
-            manifest = run_generate(config)
-            sys.stdout.write(
-                f"generated {manifest['what']} in {config.out} "
-                f"(config_hash={manifest['config_hash'][:12]})\n")
-            return 0
         report = run_experiment(config, threads=args.threads)
         sys.stdout.write(
             f"{config.kind}: {'PASS' if report.passed else 'FAIL'} "

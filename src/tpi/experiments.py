@@ -58,7 +58,6 @@ from .tensors import (
     spectral_norm_estimate,
     symmetrize,
 )
-from .container import save_tensor
 
 _FLOAT_FMT = "%.17g"
 SCHEMA_VERSION = 1
@@ -87,7 +86,10 @@ def _type(name, ok):
 
 INT = _type("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 COUNT = _type("an integer >= 1", lambda v: INT.ok(v) and v >= 1)
-NUM = _type("a number", lambda v: INT.ok(v) or isinstance(v, float))
+NONNEG_INT = _type("an integer >= 0", lambda v: INT.ok(v) and v >= 0)
+# finite only: config.json is written back as JSON, which has no NaN or infinity
+NUM = _type("a finite number",
+            lambda v: INT.ok(v) or (isinstance(v, float) and math.isfinite(v)))
 NONNEG = _type("a number >= 0", lambda v: NUM.ok(v) and v >= 0)
 POSITIVE = _type("a number > 0", lambda v: NUM.ok(v) and v > 0)
 STR = _type("a string", lambda v: isinstance(v, str))
@@ -157,13 +159,13 @@ def _walk(raw, spec, where=""):
     return out
 
 
-# fields: the kind's spec, ``accept`` among them; runner: None when the kind
-# is not runnable as an experiment; rules: cross-field (test, message) pairs
-_Kind = namedtuple("_Kind", "fields runner rules", defaults=(None, ()))
+# fields: the kind's spec, ``accept`` among them; runner: runs a config of the
+# kind; rules: cross-field (test, message) pairs
+_Kind = namedtuple("_Kind", "fields runner rules", defaults=((),))
 
 _SCHEMA = _type(str(SCHEMA_VERSION), lambda v: INT.ok(v) and v == SCHEMA_VERSION)
 _COMMON = {"schema": (_SCHEMA, _REQUIRED), "kind": (STR, _REQUIRED), "out": STR,
-           "seeds": ({"count": (COUNT, 1), "base": (INT, 0)}, {})}
+           "seeds": ({"count": (COUNT, 1), "base": (NONNEG_INT, 0)}, {})}
 _DK = {"d": (COUNT, _REQUIRED), "k": (COUNT, _REQUIRED)}
 
 
@@ -225,26 +227,29 @@ class ExperimentConfig:
         return self._cluster
 
 
+def _read_json(path, what):
+    """The JSON document in the UTF-8 file ``path``.  A missing path, a
+    directory, or a file that is not UTF-8 JSON is bad input."""
+    if not os.path.isfile(path):
+        state = "is not a file" if os.path.exists(path) else "not found"
+        raise InvalidArgumentError(f"{what} {state}: {path}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise InvalidArgumentError(f"{path} is not valid UTF-8 JSON: {exc}") from None
+
+
 def load_config(source, seed=None, out=None):
-    """Load and validate a config from a path, JSON text, or dict.
+    """Load and validate a config from a path to a JSON file, or a dict.
 
     ``seed`` overrides seeds.base and ``out`` the output directory (the CLI
     flags route through here), and both become part of the hashed config.
     """
-    if isinstance(source, dict):
-        raw = source
-    else:
-        path = os.fspath(source)
-        if not os.path.exists(path):
-            raise InvalidArgumentError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidArgumentError(f"config is not valid JSON: {exc}")
+    raw = source if isinstance(source, dict) else _read_json(os.fspath(source), "config file")
     cfg = _validate(raw)
     if seed is not None:
-        cfg["seeds"] = dict(cfg["seeds"], base=int(seed))
+        cfg["seeds"] = dict(cfg["seeds"], base=NONNEG_INT(int(seed), "seed"))
     if out is not None:
         cfg["out"] = os.fspath(out)
     return ExperimentConfig(cfg)
@@ -328,22 +333,20 @@ def _median_iqr(values):
 
 
 def _component_tensor(cfg, seed):
-    """The factored tensor of a recovery or generate config: ``components``
-    drawn per seed, ``weights`` a constant or a uniform [lo, hi] draw."""
+    """The factored tensor of a tensor recovery config: ``components`` drawn
+    per seed, ``weights`` a constant or a uniform [lo, hi] draw."""
     d, k = cfg["d"], cfg["k"]
-    kind = cfg.get("components", "unit-sphere")
-    if kind == "orthonormal":
+    if cfg["components"] == "orthonormal":
         if k > d:
             raise InvalidArgumentError("orthonormal components need k <= d")
         comps = np.linalg.qr(stream(seed, 610).standard_normal((d, k)))[0]
     else:
         comps = random_components(d, k, seed=seed)
-    w_spec = cfg.get("weights", 1.0)
-    if isinstance(w_spec, (list, tuple)):
-        lo, hi = w_spec
+    if isinstance(cfg["weights"], (list, tuple)):
+        lo, hi = cfg["weights"]
         weights = stream(seed, 611).uniform(lo, hi, size=k)
     else:
-        weights = np.full(k, float(w_spec))
+        weights = np.full(k, float(cfg["weights"]))
     return FactoredTensor3(comps, weights)
 
 
@@ -352,8 +355,7 @@ def _mixture(cfg, seed, zeta):
     its truth tensor."""
     k = cfg["k"]
     comps = random_components(cfg["d"], k, seed=seed)
-    model = MixtureModel(comps, np.full(k, 1.0 / k), noise_scale=zeta,
-                         views=cfg.get("views", 3))
+    model = MixtureModel(comps, np.full(k, 1.0 / k), noise_scale=zeta)
     return model, FactoredTensor3(comps, np.full(k, 1.0 / k))
 
 
@@ -745,8 +747,6 @@ def _run_probe(config, threads):
 # where an absent max_iters means 15 steps.
 _MAX_ITERS = _either(INT, _type("null", lambda v: v is None))
 _DECOMPOSE = {"power": {"max_iters": _MAX_ITERS}, "cluster": {"nu": NUM}}
-_COMPONENTS = _choice("unit-sphere", "orthonormal")
-_WEIGHTS = _either(NUM, _list_of(NUM, 2))
 _RECOVERY_ACCEPT = dict(require_components=INT, min_correlation=NUM, recovered_fraction=NUM,
                         correlation_threshold=NUM, frobenius_factor=NUM)
 _DYNAMICS = {
@@ -768,7 +768,8 @@ _KINDS = {
         **_DK,
         "source": (_select(
             tensor={
-                "components": (_COMPONENTS, "unit-sphere"), "weights": (_WEIGHTS, 1.0),
+                "components": (_choice("unit-sphere", "orthonormal"), "unit-sphere"),
+                "weights": (_either(NUM, _list_of(NUM, 2)), 1.0),
                 "inits": (_either(COUNT, _choice("columns+noise")), "columns+noise"),
                 "init_noise": (NONNEG, 0.3),
                 "accept": {**_RECOVERY_ACCEPT, "weight_tol": NUM},
@@ -805,11 +806,6 @@ _KINDS = {
          "power and cluster only apply with compare_decomposition"),
     )),
     "probe": _Kind({"checks": (_probe_checks, _REQUIRED)}, _run_probe),
-    "generate": _Kind({
-        **_DK, "what": (_select(
-            tensor={"components": _COMPONENTS, "weights": _WEIGHTS},
-            samples={"n": (COUNT, _REQUIRED), "zeta": NONNEG, "views": COUNT}), _REQUIRED),
-    }),
 }
 
 
@@ -828,12 +824,8 @@ def run_experiment(config, threads=None):
     if isinstance(config, (str, os.PathLike, dict)):
         config = load_config(config)
     cfg = config.data
-    runner = _KINDS[cfg["kind"]].runner
-    if runner is None:
-        raise InvalidArgumentError(
-            f"config kind {cfg['kind']!r} is not runnable as an experiment")
     start = time.monotonic()
-    outcome = runner(config, threads)
+    outcome = _KINDS[cfg["kind"]].runner(config, threads)
     wall = time.monotonic() - start
 
     report = RunReport(
@@ -864,49 +856,13 @@ def run_experiment(config, threads=None):
     return report
 
 
-def run_generate(config):
-    """Materialize a tensor or a multiview sample batch described by a
-    generate config; returns the artifact manifest."""
-    if isinstance(config, (str, os.PathLike, dict)):
-        config = load_config(config)
-    cfg = config.data
-    if cfg["kind"] != "generate":
-        raise InvalidArgumentError("run_generate needs a generate config")
-    if not config.out:
-        raise InvalidArgumentError("generate needs an output directory")
-    os.makedirs(config.out, exist_ok=True)
-    seed = config.seed_base
-    manifest = {"kind": "generate", "what": cfg["what"],
-                "config_hash": config.config_hash, "artifacts": {}}
-    if cfg["what"] == "tensor":
-        path = os.path.join(config.out, "tensor.tpi3")
-        save_tensor(path, _component_tensor(cfg, seed),
-                    meta={"config_hash": config.config_hash})
-        manifest["artifacts"]["tensor"] = "tensor.tpi3"
-    else:
-        model, _ = _mixture(cfg, seed, cfg.get("zeta", 0.0))
-        batch = sample_multiview(model, cfg["n"], seed=seed)
-        prefix = os.path.join(config.out, "samples")
-        batch.save(prefix, meta={"config_hash": config.config_hash})
-        manifest["artifacts"]["samples"] = "samples"
-    with open(os.path.join(config.out, "generate.json"), "w",
-              newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
-
-
 def load_run(run_dir):
     """Load a stored run, refusing mismatched config hashes."""
-    cfg_path = os.path.join(run_dir, "config.json")
+    cfg = _read_json(os.path.join(run_dir, "config.json"), "stored run file")
     rep_path = os.path.join(run_dir, "report.json")
-    for path in (cfg_path, rep_path):
-        if not os.path.exists(path):
-            raise InvalidArgumentError(f"not a stored run: missing {path}")
-    with open(cfg_path) as fh:
-        cfg = json.load(fh)
-    with open(rep_path) as fh:
-        report = json.load(fh)
+    report = _read_json(rep_path, "stored run file")
+    if not isinstance(report, dict) or not isinstance(report.get("aggregates"), dict):
+        raise InvalidArgumentError(f"{rep_path} is not a JSON object with an aggregates object")
     actual = hashlib.sha256(
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()

@@ -1,7 +1,7 @@
 """Generative samplers and moment-tensor estimators for mixture models.
 
 Multiview mixture: a hidden state h ~ Categorical(priors) picks a column, and
-each of p >= 3 views observes z_l = F_l h + eta_l with independent spherical
+each of three views observes z_l = F_l h + eta_l with independent spherical
 Gaussian noise (per-entry std zeta).  The cross-view third moment
 E[z_1 (x) z_2 (x) z_3] equals sum_j priors_j a_j^{(x)3}, which is what the
 decomposition pipeline consumes.
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import load_matrix, save_matrix
 from .errors import InvalidArgumentError, ResourceBudgetError
 from .rng import stream
 from .tensors import DENSE_DIM_LIMIT, DenseTensor3, FactoredTensor3, _as_unit_columns
@@ -52,25 +51,20 @@ def _check_simplex(priors, k):
 class MixtureModel:
     """Multiview mixture parameters.
 
-    ``factor`` is a single d x k matrix, or a tuple of three matrices for the
-    asymmetric variant (one per view; requires views == 3).  Each view adds
-    spherical Gaussian noise with per-entry std ``noise_scale``.
+    ``factor`` is a single d x k matrix shared by the three views, or a tuple
+    of three matrices, one per view, for the asymmetric variant.  Each view
+    adds spherical Gaussian noise with per-entry std ``noise_scale``.
     """
 
-    def __init__(self, factor, priors, noise_scale=0.0, views=3):
+    def __init__(self, factor, priors, noise_scale=0.0):
         if isinstance(factor, (tuple, list)):
             if len(factor) != 3:
                 raise InvalidArgumentError("asymmetric variant needs exactly three matrices")
             self.factors = tuple(_as_unit_columns(F, "factor") for F in factor)
             if len({F.shape for F in self.factors}) != 1:
                 raise InvalidArgumentError("per-view factors must share shape")
-            if views != 3:
-                raise InvalidArgumentError("asymmetric variant requires views == 3")
         else:
             self.factors = (_as_unit_columns(factor, "factor"),)
-        if views < 3:
-            raise InvalidArgumentError("need at least 3 views")
-        self.views = int(views)
         d, k = self.factors[0].shape
         self.priors = _check_simplex(priors, k)
         if noise_scale < 0:
@@ -115,23 +109,6 @@ class SampleBatch:
     def p(self):
         return len(self.views)
 
-    def save(self, prefix, meta=None):
-        base = dict(meta or {})
-        base["views"] = self.p
-        if self.labels is not None:
-            base["labels"] = self.labels.tolist()
-        for l, V in enumerate(self.views):
-            save_matrix(f"{prefix}.view{l}.tpi3", V, base if l == 0 else None)
-
-    @classmethod
-    def load(cls, prefix):
-        M0, meta = load_matrix(f"{prefix}.view0.tpi3")
-        if meta is None or "views" not in meta:
-            raise InvalidArgumentError(f"{prefix}: missing sidecar with view count")
-        views = [M0] + [load_matrix(f"{prefix}.view{l}.tpi3")[0] for l in range(1, meta["views"])]
-        labels = np.asarray(meta["labels"], dtype=np.int64) if "labels" in meta else None
-        return cls(views, labels)
-
 
 @dataclass
 class SphericalGmm:
@@ -175,7 +152,7 @@ def sample_multiview(model, n, seed):
     rng = stream(seed, 301)
     h = rng.choice(model.rank, size=n, p=model.priors)
     views = []
-    for l in range(model.views):
+    for l in range(3):
         Z = np.take(model.factor_for_view(l), h, axis=1)
         if model.noise_scale > 0:
             _add_noise(Z, model.noise_scale, rng)

@@ -116,21 +116,54 @@ def test_report_detects_tampered_config(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
-def test_generate_subcommand(tmp_path):
-    doc = {"schema": 1, "kind": "generate", "what": "tensor",
-           "seeds": {"base": 5}, "d": 6, "k": 8,
-           "components": "unit-sphere", "weights": [1.0, 1.0]}
-    cfg = _write(tmp_path, "gen.json", doc)
-    rc = cli(["generate", "--config", cfg, "--out", str(tmp_path / "g")])
-    assert rc == 0
-    assert (tmp_path / "g" / "tensor.tpi3").exists()
-    assert (tmp_path / "g" / "generate.json").exists()
-
-
 def test_invalid_config_json_exits_two(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     assert cli(["dynamics", "--config", str(p)]) == 2
+
+
+def test_config_directory_exits_two(tmp_path, capsys):
+    assert cli(["dynamics", "--config", str(tmp_path)]) == 2
+    assert "is not a file" in capsys.readouterr().err
+
+
+def test_config_not_utf8_exits_two(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(json.dumps(DYN).encode()[:-1] + b', "out": "caf\xe9"}')
+    assert cli(["dynamics", "--config", str(p)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, "dyn.json", DYN)
+    rc = cli(["dynamics", "--config", cfg, "--seed", "-3", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda text: "{not json", id="not-json"),
+    pytest.param(lambda text: "[1, 2]", id="not-object"),
+    # the config hash still matches, so only the missing table can stop it
+    pytest.param(lambda text: json.dumps(dict(json.loads(text), aggregates=None)),
+                 id="no-aggregates"),
+])
+def test_report_on_unreadable_report_exits_two(tmp_path, capsys, edit):
+    cfg = _write(tmp_path, "rec.json", REC)
+    cli(["decompose", "--config", cfg, "--out", str(tmp_path / "run")])
+    path = tmp_path / "run" / "report.json"
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert cli(["report", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_generate_subcommand_is_a_usage_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "dyn.json", DYN)
+    assert cli(["generate", "--config", cfg, "--out", str(tmp_path / "g")]) == 2
+    assert "invalid choice: 'generate'" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_zero_threads_exits_two(tmp_path, capsys):
@@ -160,11 +193,12 @@ def test_one_dimensional_dynamics_exits_two(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def _scipy_modules_after(code):
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+def _modules_after(code, package):
+    """The modules of ``package`` that a fresh interpreter holds after
+    ``import tpi`` and ``code``."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import json, sys, tpi\n" + code
-            + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            + f"print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -173,7 +207,11 @@ def _scipy_modules_after(code):
 
 def test_import_and_load_config_do_not_import_scipy():
     code = f"tpi.load_config(json.loads({json.dumps(json.dumps(REC))}))\n"
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code, "scipy") == "[]"
+
+
+def test_import_does_not_load_a_container_module():
+    assert _modules_after("", "tpi.container") == "[]"
 
 
 def test_recovery_and_sample_complexity_runs_do_not_import_scipy(tmp_path):
@@ -186,7 +224,7 @@ def test_recovery_and_sample_complexity_runs_do_not_import_scipy(tmp_path):
         f"tpi.run_experiment(tpi.load_config(json.loads({json.dumps(json.dumps(doc))}), "
         f"out={str(tmp_path / name)!r}))\n"
         for name, doc in (("multiview", multiview), ("pooled", pooled)))
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code, "scipy") == "[]"
 
 
 _BASE = {"schema": 1, "kind": "dynamics", "d": 10, "k": 12, "init_correlation": [0.3, 0.4]}
@@ -195,8 +233,6 @@ _MULTIVIEW = {"schema": 1, "kind": "recovery", "d": 6, "k": 8, "source": "multiv
               "zeta": 0.05, "n": 200, "inits": 10}
 _POOLED = {"schema": 1, "kind": "sample-complexity", "d": 6, "k": 8, "zeta": 0.05,
            "sample_sizes": [100, 200]}
-_GEN_TENSOR = {"schema": 1, "kind": "generate", "what": "tensor", "d": 6, "k": 8}
-_GEN_SAMPLES = {"schema": 1, "kind": "generate", "what": "samples", "d": 6, "k": 8, "n": 40}
 
 
 @pytest.mark.parametrize("doc", [
@@ -228,11 +264,6 @@ _GEN_SAMPLES = {"schema": 1, "kind": "generate", "what": "samples", "d": 6, "k":
     pytest.param(dict(_MULTIVIEW, init_noise=0.3), id="multiview-init-noise"),
     # multiview runs have no true weights, so weight_max_err is NaN
     pytest.param(dict(_MULTIVIEW, accept={"weight_tol": 1.0}), id="multiview-weight-tol"),
-    pytest.param(dict(_GEN_TENSOR, n=40), id="generate-tensor-n"),
-    pytest.param(dict(_GEN_TENSOR, zeta=0.1), id="generate-tensor-zeta"),
-    pytest.param(dict(_GEN_TENSOR, views=4), id="generate-tensor-views"),
-    pytest.param(dict(_GEN_SAMPLES, components="unit-sphere"), id="generate-samples-components"),
-    pytest.param(dict(_GEN_SAMPLES, weights=2.0), id="generate-samples-weights"),
     pytest.param(dict(_TENSOR, power={"trace_level": "none"}), id="recovery-trace-level"),
     pytest.param(dict(_TENSOR, power={"convergence_gamma": 0.1}), id="recovery-convergence-gamma"),
     pytest.param(dict(_POOLED, power={"trace_level": "full"}), id="pooled-trace-level"),
@@ -251,10 +282,24 @@ _GEN_SAMPLES = {"schema": 1, "kind": "generate", "what": "samples", "d": 6, "k":
     pytest.param(dict(_BASE, power={"max_iters": None}), id="dynamics-max-iters-null"),
     pytest.param(dict(_BASE, kind="noise-sweep", noise_norm_factors=[0.1],
                       power={"max_iters": None}), id="noise-sweep-max-iters-null"),
+    # JSON has no NaN or infinity: json.dumps writes them as bare NaN and
+    # Infinity, which config.json could not hold as valid JSON
+    pytest.param(dict(_TENSOR, accept={"min_correlation": float("nan")}),
+                 id="min-correlation-nan"),
+    pytest.param(dict(_BASE, kind="noise-sweep", noise_norm_factors=[float("inf")]),
+                 id="noise-factor-infinity"),
+    # numpy's seed streams take non-negative integers only
+    pytest.param(dict(_BASE, seeds={"base": -3}), id="seeds-base-negative"),
+    # the generate kind and its subcommand were removed
+    pytest.param({"schema": 1, "kind": "generate", "what": "tensor", "d": 6, "k": 8},
+                 id="generate-kind"),
 ])
+# refused before any numeric work: an infinite noise factor used to reach a
+# power run and fail there on a NaN iterate
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_config_exits_two(tmp_path, capsys, doc):
-    command = {"dynamics": "dynamics", "noise-sweep": "dynamics", "probe": "probe",
-               "generate": "generate"}.get(doc["kind"], "decompose")
+    command = {"dynamics": "dynamics", "noise-sweep": "dynamics",
+               "probe": "probe"}.get(doc["kind"], "decompose")
     rc = cli([command, "--config", _write(tmp_path, "bad.json", doc),
               "--out", str(tmp_path / "run")])
     assert rc == 2

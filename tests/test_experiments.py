@@ -13,7 +13,6 @@ from tpi.experiments import (
     load_run,
     render_report,
     run_experiment,
-    run_generate,
 )
 from tpi.rng import stream
 from tpi.tensors import scale_noise_to, symmetrize
@@ -199,30 +198,6 @@ def test_probe_kind_aggregation(tmp_path):
     assert all(len(entry["checks"]) == 2 for entry in rep.per_seed)
 
 
-def test_generate_tensor_and_samples(tmp_path):
-    gen_t = {
-        "schema": 1, "kind": "generate", "what": "tensor",
-        "out": str(tmp_path / "g1"), "seeds": {"base": 3},
-        "d": 8, "k": 12, "components": "unit-sphere", "weights": [0.5, 1.5],
-    }
-    man = run_generate(gen_t)
-    assert (tmp_path / "g1" / "tensor.tpi3").exists()
-    side = json.loads((tmp_path / "g1" / "tensor.tpi3.json").read_text())
-    assert side["config_hash"] == man["config_hash"]
-
-    gen_s = {
-        "schema": 1, "kind": "generate", "what": "samples",
-        "out": str(tmp_path / "g2"), "seeds": {"base": 3},
-        "d": 6, "k": 4, "n": 40, "zeta": 0.1,
-    }
-    run_generate(gen_s)
-    assert (tmp_path / "g2" / "samples.view0.tpi3").exists()
-    assert (tmp_path / "g2" / "samples.view2.tpi3").exists()
-
-    with pytest.raises(InvalidArgumentError):
-        run_generate(load_config(DYN))  # wrong kind
-
-
 def test_noise_sweep_csv_has_factor_and_xi(tmp_path):
     cfg = {
         "schema": 1, "kind": "noise-sweep", "out": str(tmp_path / "ns"),
@@ -312,12 +287,6 @@ MINIMAL_HASHES = [
                   "zeta": 0.1},
                  "77a1a3d2f6bd8eea7f40207de8bae7bdb7891aac9db1ba7581ed1bc1d70dce2d",
                  id="recovery-multiview"),
-    pytest.param({"kind": "generate", "what": "tensor", "d": 6, "k": 8},
-                 "3d5cc09a76713cada72eabcee852a2ce1d9d4f7eda82b419b52cb179e9729dd1",
-                 id="generate-tensor"),
-    pytest.param({"kind": "generate", "what": "samples", "d": 6, "k": 8, "n": 50},
-                 "b1dd54bc6e1ae971a790bbc0c56c4ebb7f464567da0a75de2f383db38b248198",
-                 id="generate-samples"),
     pytest.param({"kind": "dynamics", "d": 10, "k": 12, "init_correlation": [0.3, 0.4]},
                  "cf1d4c214787752173468f6b4336ccc3bf87c7ace110fb9b1b76369faa4230e8",
                  id="dynamics"),
