@@ -7,6 +7,14 @@ as many extra power steps as the iteration budget, (3) emits it
 sign-normalized so its cubic form is nonnegative, and (4) removes every
 survivor within correlation nu/2 of the emission.  Weights are read off the
 cubic form at each estimate.
+
+Refinement is a pure function of the pool column, so step (2) refines
+leaders ahead of the loop: at a leader not refined yet it predicts the
+leaders to come by running the loop on the unrefined pool (each pick drops
+the survivors within nu/2 of its pool column), and refines the predicted
+leaders as one d x m block, one block contraction per step, unless there
+are ``_NARROW_BATCH`` or fewer: then it refines the leader alone, as a
+vector.  A leader the prediction missed starts a new batch.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +24,11 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .power import PowerConfig, default_max_iters, power_step, run_power
 from .tensors import contract_1, contract_scalar
+
+# A batch of at most this many predicted leaders refines the leader alone:
+# contract_1 pads a block to 32 columns, which costs about 4-6 vector
+# contractions on the sample tensors.
+_NARROW_BATCH = 4
 
 
 @dataclass
@@ -78,18 +91,21 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
     refine_monotone_violations = 0
 
     # |T(x, x, x)| of every pool member, from one block contraction
-    scores = np.abs(np.einsum("ij,ij->j", X, contract_1(tensor, X, X)))
+    scores = np.abs(_dots(X, contract_1(tensor, X, X)))
+    refined = {}  # pool index -> (refined vector, score path)
     while alive.any():
         idx = int(np.argmax(np.where(alive, scores, -np.inf)))
-        x = X[:, idx].copy()
-        # T(x, x, x) = <x, T(I, x, x)> = ||T(I, x, x)|| <x, x_next>
-        path = []
-        for _ in range(n_iters):
-            x_next, nrm = power_step(tensor, x)
-            path.append(nrm * float(x @ x_next))
-            x = x_next
-        score = contract_scalar(tensor, x, x, x)
-        path.append(score)
+        if idx not in refined:
+            batch = [j for j in _predicted_leaders(X, scores, alive, half_nu)
+                     if j not in refined]
+            if len(batch) > _NARROW_BATCH:
+                xs, paths = _refine(tensor, X[:, batch], n_iters)
+                for j, x, path in zip(batch, xs.T.copy(), np.array(paths).T.tolist()):
+                    refined[j] = x, path
+            else:
+                refined[idx] = _refine(tensor, X[:, idx].copy(), n_iters)
+        x, path = refined.pop(idx)
+        score = path[-1]
         if abs(path[-1]) < abs(path[0]) - 1e-9:
             refine_monotone_violations += 1
         if score < 0:
@@ -123,6 +139,42 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
     )
 
 
+def _predicted_leaders(X, scores, alive, half_nu):
+    """Pool indices the emission loop would pick from ``alive`` if every
+    leader kept its pool column: the best survivor by score, then the best
+    of those farther than nu/2 from it, and so on."""
+    alive = alive.copy()
+    picks = []
+    while alive.any():
+        j = int(np.argmax(np.where(alive, scores, -np.inf)))
+        picks.append(j)
+        alive &= ~(np.abs(X[:, j] @ X) > half_nu)
+        alive[j] = False
+    return picks
+
+
+def _refine(tensor, x, n_iters):
+    """n_iters power steps from a vector x, or from each column of a block.
+
+    Returns the refined x and its score path: T(x, x, x) before each step,
+    read off the step as <x, T(I, x, x)> = ||T(I, x, x)|| <x, x_next>, then
+    at the refined x.  A block's path holds one array of m per entry.
+    """
+    path = []
+    for _ in range(n_iters):
+        x_next, nrm = power_step(tensor, x)
+        path.append(nrm * _dots(x, x_next))
+        x = x_next
+    path.append(contract_scalar(tensor, x, x, x) if x.ndim == 1
+                else _dots(x, contract_1(tensor, x, x)))
+    return x, path
+
+
+def _dots(a, b):
+    """<a, b> of two vectors, or of each pair of columns of two blocks."""
+    return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
+
+
 def learn_multiview(batch, mode, power_config=None, cluster_config=None, model=None,
                     max_inits=None):
     """End-to-end learning from a multiview batch.
@@ -141,6 +193,8 @@ def learn_multiview(batch, mode, power_config=None, cluster_config=None, model=N
 
     if batch.n < 1:
         raise InvalidArgumentError("empty batch")
+    if max_inits is not None and max_inits < 1:
+        raise InvalidArgumentError("max_inits must be >= 1")
     if mode == "exact-tensor":
         if model is None:
             raise InvalidArgumentError("exact-tensor mode needs the model")

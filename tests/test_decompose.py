@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -11,9 +13,9 @@ from tpi.decompose import (
 )
 from tpi.errors import InvalidArgumentError
 from tpi.models import MixtureModel, sample_multiview
-from tpi.power import PowerConfig
+from tpi.power import PowerConfig, power_step, run_power
 from tpi.rng import stream
-from tpi.tensors import FactoredTensor3, random_components
+from tpi.tensors import FactoredTensor3, contract_1, contract_scalar, random_components
 
 
 def orthonormal(d, k, seed):
@@ -56,6 +58,100 @@ def test_estimates_have_unit_columns_and_separation():
         assert G.max() < 0.25
     assert res.weights.shape == (res.n_components,)
     assert res.cluster_sizes.sum() <= 40 + res.n_components
+
+
+def sequential_decompose(tensor, inits, n_iters, nu=0.5):
+    """Reference emission loop: one leader at a time, refined as a vector.
+
+    Returns (estimates, weights, cluster sizes, selection scores, paths)."""
+    X = run_power(tensor, np.asarray(inits).T, PowerConfig(max_iters=n_iters)).final_x
+    scores = np.abs(np.einsum("ij,ij->j", X, contract_1(tensor, X, X)))
+    alive = np.ones(X.shape[1], dtype=bool)
+    estimates, weights, sizes, selected, paths = [], [], [], [], []
+    while alive.any():
+        idx = int(np.argmax(np.where(alive, scores, -np.inf)))
+        x = X[:, idx].copy()
+        path = []
+        for _ in range(n_iters):
+            x_next, nrm = power_step(tensor, x)
+            path.append(nrm * float(x @ x_next))
+            x = x_next
+        score = contract_scalar(tensor, x, x, x)
+        path.append(score)
+        if score < 0:
+            x = -x
+        cluster = alive & (np.abs(x @ X) > nu / 2)
+        cluster[idx] = True
+        if not any(abs(float(x @ e)) > nu / 2 for e in estimates):
+            estimates.append(x)
+            weights.append(abs(score))
+            sizes.append(int(cluster.sum()))
+            selected.append(float(scores[idx]))
+            paths.append(path)
+        alive &= ~cluster
+    return np.array(estimates).T, np.array(weights), sizes, selected, paths
+
+
+def count_refine_steps(monkeypatch):
+    """Count the power steps decompose makes after its pool run."""
+    module = sys.modules["tpi.decompose"]
+    calls = []
+
+    def counted(tensor, x):
+        calls.append(np.shape(x))
+        return power_step(tensor, x)
+
+    monkeypatch.setattr(module, "power_step", counted)
+    return calls
+
+
+def wide_case():
+    # 20 orthonormal components, 3 noisy starts each: the pool holds 20
+    # well-separated clusters, so the first predicted batch has 20 leaders
+    A = orthonormal(30, 20, 63)
+    T = FactoredTensor3(A, np.linspace(1.0, 2.0, 20))
+    return T, column_noise_inits(np.repeat(A, 3, axis=1), 0.3, 63)
+
+
+def narrow_case():
+    # 3 components: no prediction can hold more than 3 leaders
+    A = orthonormal(10, 3, 64)
+    T = FactoredTensor3(A, np.array([1.0, 1.5, 2.0]))
+    rng = stream(64, 52)
+    return T, [x / np.linalg.norm(x) for x in rng.standard_normal((12, 10))]
+
+
+def test_blocked_refinement_matches_sequential_loop():
+    T, inits = wide_case()
+    res = decompose(T, inits, PowerConfig(max_iters=8))
+    E, w, sizes, selected, paths = sequential_decompose(T, inits, 8)
+    assert res.n_components == E.shape[1] == 20
+    assert res.cluster_sizes.tolist() == sizes
+    assert res.diagnostics["selection_scores"].tolist() == selected
+    assert np.max(np.abs(res.estimates - E)) < 1e-12
+    assert np.max(np.abs(res.weights - w)) < 1e-12
+    assert np.max(np.abs(np.array(res.diagnostics["refine_score_paths"]) - paths)) < 1e-12
+
+
+def test_narrow_batches_refine_as_the_sequential_loop_bitwise(monkeypatch):
+    T, inits = narrow_case()
+    steps = count_refine_steps(monkeypatch)
+    res = decompose(T, inits, PowerConfig(max_iters=8))
+    E, w, sizes, selected, paths = sequential_decompose(T, inits, 8)
+    assert set(steps) == {(10,)}  # every refine step was a vector step
+    assert np.array_equal(res.estimates, E)
+    assert np.array_equal(res.weights, w)
+    assert res.cluster_sizes.tolist() == sizes
+    assert res.diagnostics["selection_scores"].tolist() == selected
+    assert res.diagnostics["refine_score_paths"] == paths
+
+
+def test_predicted_leaders_refine_in_one_block(monkeypatch):
+    T, inits = wide_case()
+    steps = count_refine_steps(monkeypatch)
+    res = decompose(T, inits, PowerConfig(max_iters=8))
+    assert res.n_components == 20
+    assert steps == [(30, 20)] * 8
 
 
 def test_empty_inits_rejected():
@@ -182,6 +278,15 @@ def test_learn_multiview_requires_model_for_exact():
         learn_multiview(batch, "exact-tensor")
     with pytest.raises(InvalidArgumentError):
         learn_multiview(batch, "no-such-mode", model=model)
+
+
+@pytest.mark.parametrize("max_inits", [0, -5])
+def test_learn_multiview_rejects_nonpositive_max_inits(max_inits):
+    A = random_components(5, 3, seed=73)
+    model = MixtureModel(A, np.full(3, 1 / 3), noise_scale=0.1)
+    batch = sample_multiview(model, 50, seed=73)
+    with pytest.raises(InvalidArgumentError):
+        learn_multiview(batch, "implicit-samples", max_inits=max_inits)
 
 
 def test_labels_never_consulted():
