@@ -40,7 +40,6 @@ from .power import (
     default_max_iters,
     power_step,
     run_power,
-    run_power_asymmetric,
     run_power_with_shadow,
 )
 from .probes import (

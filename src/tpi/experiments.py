@@ -393,10 +393,9 @@ def _noise_tensor(d, target_norm, seed):
     """
     out = _average_orbits(stream(seed, 602).standard_normal((d, d, d)))
     # estimate on a read-only view, so the buffer itself stays writable
-    current = spectral_norm_estimate(DenseTensor3(out.view(), symmetric=True, check=False),
-                                     restarts=4, iters=12, seed=seed)
+    current = spectral_norm_estimate(DenseTensor3(out.view()), restarts=4, iters=12, seed=seed)
     out *= target_norm / current
-    return DenseTensor3(out, symmetric=True, check=False)
+    return DenseTensor3(out)
 
 
 def _dynamics_seed(config, seed_value, factor):

@@ -1,10 +1,10 @@
 """Generative samplers and moment-tensor estimators for mixture models.
 
-Multiview mixture: a hidden state h ~ Categorical(priors) picks a column, and
-each of three views observes z_l = F_l h + eta_l with independent spherical
-Gaussian noise (per-entry std zeta).  The cross-view third moment
-E[z_1 (x) z_2 (x) z_3] equals sum_j priors_j a_j^{(x)3}, which is what the
-decomposition pipeline consumes.
+Multiview mixture: a hidden state h ~ Categorical(priors) picks a column a_h
+of the factor shared by all views, and each of three views observes
+z_l = a_h + eta_l with independent spherical Gaussian noise (per-entry std
+zeta).  The cross-view third moment E[z_1 (x) z_2 (x) z_3] equals
+sum_j priors_j a_j^{(x)3}, which is what the decomposition pipeline consumes.
 
 Spherical Gaussian mixture: z = a_h + sigma * g.  The raw third moment picks
 up sigma^2 cross terms; the modified moment subtracts them:
@@ -51,34 +51,20 @@ def _check_simplex(priors, k):
 class MixtureModel:
     """Multiview mixture parameters.
 
-    ``factor`` is a single d x k matrix shared by the three views, or a tuple
-    of three matrices, one per view, for the asymmetric variant.  Each view
-    adds spherical Gaussian noise with per-entry std ``noise_scale``.
+    ``factor`` is the d x k matrix shared by the three views, so the cross-view
+    third moment is symmetric.  Each view adds spherical Gaussian noise with
+    per-entry std ``noise_scale``.
     """
 
     def __init__(self, factor, priors, noise_scale=0.0):
-        if isinstance(factor, (tuple, list)):
-            if len(factor) != 3:
-                raise InvalidArgumentError("asymmetric variant needs exactly three matrices")
-            self.factors = tuple(_as_unit_columns(F, "factor") for F in factor)
-            if len({F.shape for F in self.factors}) != 1:
-                raise InvalidArgumentError("per-view factors must share shape")
-        else:
-            self.factors = (_as_unit_columns(factor, "factor"),)
-        d, k = self.factors[0].shape
+        self.factor = _as_unit_columns(factor, "factor")
+        d, k = self.factor.shape
         self.priors = _check_simplex(priors, k)
-        if noise_scale < 0:
-            raise InvalidArgumentError("noise_scale must be >= 0")
+        if not 0 <= noise_scale < np.inf:
+            raise InvalidArgumentError("noise_scale must be finite and >= 0")
         self.noise_scale = float(noise_scale)
         self.dim = d
         self.rank = k
-
-    def factor_for_view(self, l):
-        return self.factors[l] if len(self.factors) == 3 else self.factors[0]
-
-    @property
-    def is_asymmetric(self):
-        return len(self.factors) == 3
 
 
 class SampleBatch:
@@ -121,8 +107,8 @@ class SphericalGmm:
     def __post_init__(self):
         self.means = _as_unit_columns(self.means, "means")
         self.priors = _check_simplex(self.priors, self.means.shape[1])
-        if self.sigma < 0:
-            raise InvalidArgumentError("sigma must be >= 0")
+        if not 0 <= self.sigma < np.inf:
+            raise InvalidArgumentError("sigma must be finite and >= 0")
 
 
 def _add_noise(Z, scale, rng):
@@ -153,7 +139,7 @@ def sample_multiview(model, n, seed):
     h = rng.choice(model.rank, size=n, p=model.priors)
     views = []
     for l in range(3):
-        Z = np.take(model.factor_for_view(l), h, axis=1)
+        Z = np.take(model.factor, h, axis=1)
         if model.noise_scale > 0:
             _add_noise(Z, model.noise_scale, rng)
         views.append(Z)
@@ -177,10 +163,7 @@ def sample_gmm(gmm, n, seed):
 
 def population_third_moment(model):
     """The exact cross-view third moment as a FactoredTensor3."""
-    if model.is_asymmetric:
-        A, B, C = model.factors
-        return FactoredTensor3(A, model.priors, B, C)
-    return FactoredTensor3(model.factors[0], model.priors)
+    return FactoredTensor3(model.factor, model.priors)
 
 
 def _budget_check(d):
@@ -205,7 +188,7 @@ def empirical_third_moment(batch):
         raise InvalidArgumentError("need at least three views")
     _budget_check(batch.d)
     acc = _sample_sum(*batch.views[:3])
-    return DenseTensor3(acc / batch.n, symmetric=False, check=False)
+    return DenseTensor3(acc / batch.n)
 
 
 class SampleTensor3:
@@ -288,8 +271,7 @@ def gmm_modified_moment(gmm, samples):
         raise InvalidArgumentError("samples must be d x n with the model's d")
     _budget_check(Z.shape[0])
     raw = _sample_sum(Z, Z, Z) / Z.shape[1]
-    return DenseTensor3(raw - _sigma_correction(Z.mean(axis=1), gmm.sigma),
-                        symmetric=True, check=False)
+    return DenseTensor3(raw - _sigma_correction(Z.mean(axis=1), gmm.sigma))
 
 
 def gmm_population_modified_moment(gmm):
@@ -307,7 +289,7 @@ def gmm_population_modified_moment(gmm):
     for j in range(lam.size):
         raw = raw + lam[j] * _sigma_correction(A[:, j], sig)
     mean_vec = A @ lam
-    return DenseTensor3(raw - _sigma_correction(mean_vec, sig), symmetric=True, check=False)
+    return DenseTensor3(raw - _sigma_correction(mean_vec, sig))
 
 
 @dataclass
@@ -329,7 +311,7 @@ def snr(batch, model):
     """
     if batch.labels is None:
         raise InvalidArgumentError("snr needs a labeled batch")
-    F, Z, labels = model.factor_for_view(0), batch.views[0], batch.labels
+    F, Z, labels = model.factor, batch.views[0], batch.labels
     d, n = Z.shape
     norms = np.empty(n)
     step = max(2, _SLAB // d)

@@ -1,4 +1,4 @@
-"""Symmetric and asymmetric third-order power iteration with trace capture.
+"""Symmetric third-order power iteration with trace capture.
 
 The basic update is
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIterateError, InvalidArgumentError
-from .tensors import FactoredTensor3, PerturbedTensor, contract_1
+from .tensors import PerturbedTensor, contract_1
 
 
 def default_max_iters(d):
@@ -186,50 +186,6 @@ def run_power(tensor, x0, config=None, target=None):
     trace.stop_reasons = reasons
     trace.stop_reason = "max-iters" if "max-iters" in reasons else reasons[0]
     return trace
-
-
-def run_power_asymmetric(tensor, x0, y0, z0, config=None, targets=None):
-    """Three-vector power iteration for per-mode component matrices.
-
-    Each sweep computes x1 <- T(I, x2, x3), x2 <- T(x1, I, x3),
-    x3 <- T(x1, x2, I) simultaneously — every right-hand side uses the
-    iterates from the previous sweep, so with identical component matrices
-    and identical starts each mode reproduces the symmetric run exactly.
-    Modes 2 and 3 are mode-1 contractions of the tensor with its component
-    matrices rotated.  ``targets`` is None or one unit vector per mode; the
-    run stops early once every mode is within gamma of its target.  Returns
-    one trace per mode.
-    """
-    if not isinstance(tensor, FactoredTensor3):
-        raise InvalidArgumentError("asymmetric runs need a FactoredTensor3")
-    config = config or PowerConfig()
-    n_iters = config.max_iters or default_max_iters(tensor.dim)
-    A, B, C, w = tensor.components, tensor.components_b, tensor.components_c, tensor.weights
-    modes = (tensor, FactoredTensor3(B, w, A, C), FactoredTensor3(C, w, A, B))
-    vecs = [_check_unit(v).copy() for v in (x0, y0, z0)]
-    targets = targets or (None, None, None)
-
-    traces = [IterationTrace() for _ in range(3)]
-    for tr, v, tg in zip(traces, vecs, targets):
-        tr._append(v, float("nan"), tg)
-    for sweeps in range(1, n_iters + 1):
-        x1, x2, x3 = vecs
-        updates = [contract_1(t, v, u) for t, (v, u) in zip(modes, ((x2, x3), (x1, x3), (x1, x2)))]
-        prev, vecs = vecs, []
-        done_fixed, done_target = True, targets[0] is not None
-        for i, (tr, raw, tg) in enumerate(zip(traces, updates, targets)):
-            v, nrm = _normalize(raw, f"mode-{i + 1} contraction")
-            vecs.append(v)
-            reached = tr._append(v, nrm, tg) >= 1.0 - config.convergence_gamma
-            done_target = done_target and reached
-            done_fixed = done_fixed and _fixed_point(v, prev[i])
-        if done_fixed or done_target:
-            for tr in traces:
-                tr.stop_reason = "fixed-point" if done_fixed else "target-correlation"
-            break
-    for tr, v in zip(traces, vecs):
-        tr.final_x, tr.iterations = v, np.array([sweeps])
-    return tuple(traces)
 
 
 def run_power_with_shadow(perturbed, x0, config=None, target=None):

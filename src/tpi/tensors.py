@@ -2,16 +2,15 @@
 
 Two representations are used throughout:
 
-* ``FactoredTensor3`` — a rank-k CP form ``T = sum_j w_j a_j (x) b_j (x) c_j``
-  with unit-norm columns.  All hot-path contractions run in O(dk) against this
-  form.  The symmetric case (a single component matrix) is the default; three
-  distinct per-mode matrices give the asymmetric variant.
+* ``FactoredTensor3`` — a symmetric rank-k CP form
+  ``T = sum_j w_j a_j (x) a_j (x) a_j`` with unit-norm columns.  All hot-path
+  contractions run in O(dk) against this form.
 * ``DenseTensor3`` — an explicit ``d**3`` array, used as a brute-force oracle
   at small d and to carry arbitrary perturbations.
 
 The mode-1 contraction ``T(I, v, w)`` is the workhorse: for the factored form
 
-    T(I, v, w) = sum_j w_j <b_j, v> <c_j, w> a_j
+    T(I, v, w) = sum_j w_j <a_j, v> <a_j, w> a_j
 
 and for the dense form the explicit double sum over the trailing two indices.
 Each representation implements it as a ``contract_1(v, w)`` method; the
@@ -50,21 +49,18 @@ def _as_unit_columns(M, name, tol=1e-10):
 
 
 class FactoredTensor3:
-    """Rank-k CP representation with unit-norm components.
+    """Symmetric rank-k CP representation with unit-norm components.
 
     Parameters
     ----------
     components : (d, k) array
-        Column j is the mode-1 (and, for the symmetric case, mode-2/3)
-        direction a_j.  Columns must have unit Euclidean norm.
+        Column j is the direction a_j of every mode.  Columns must have unit
+        Euclidean norm.
     weights : (k,) array
         Scalar weight per rank-one term; all nonzero.
-    components_b, components_c : (d, k) arrays, optional
-        Per-mode matrices for the asymmetric variant.  Omit both for a
-        symmetric tensor.  Supplying only one is an error.
     """
 
-    def __init__(self, components, weights, components_b=None, components_c=None):
+    def __init__(self, components, weights):
         A = _as_unit_columns(components, "components")
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.shape[0] != A.shape[1]:
@@ -73,23 +69,9 @@ class FactoredTensor3:
             raise InvalidArgumentError("need dim >= 1 and rank >= 1")
         if np.any(w == 0.0) or not np.all(np.isfinite(w)):
             raise InvalidArgumentError("weights must be finite and nonzero")
-        if (components_b is None) != (components_c is None):
-            raise InvalidArgumentError("asymmetric form needs both components_b and components_c")
         self.components = A
         self.weights = w
-        if components_b is None:
-            self.components_b = A
-            self.components_c = A
-            self.is_symmetric = True
-        else:
-            B = _as_unit_columns(components_b, "components_b")
-            C = _as_unit_columns(components_c, "components_c")
-            if B.shape != A.shape or C.shape != A.shape:
-                raise InvalidArgumentError("per-mode component matrices must share shape")
-            self.components_b = B
-            self.components_c = C
-            self.is_symmetric = False
-        for arr in (self.components, self.components_b, self.components_c, self.weights):
+        for arr in (A, w):
             arr.flags.writeable = False
 
     @property
@@ -101,35 +83,23 @@ class FactoredTensor3:
         return self.components.shape[1]
 
     def contract_1(self, v, w):
-        pb = self.components_b.T @ v
-        pc = self.components_c.T @ w
+        A = self.components
         weights = self.weights if v.ndim == 1 else self.weights[:, None]
-        return self.components @ (weights * pb * pc)
+        return A @ (weights * (A.T @ v) * (A.T @ w))
 
     def __repr__(self):
-        kind = "symmetric" if self.is_symmetric else "asymmetric"
-        return f"FactoredTensor3(d={self.dim}, k={self.rank}, {kind})"
+        return f"FactoredTensor3(d={self.dim}, k={self.rank})"
 
 
 class DenseTensor3:
     """Explicit d x d x d tensor; entry (i, j, l) lives at offset i*d*d + j*d + l."""
 
-    def __init__(self, entries, symmetric=False, check=True):
+    def __init__(self, entries):
         E = np.ascontiguousarray(entries, dtype=np.float64)
         if E.ndim != 3 or len(set(E.shape)) != 1:
             raise InvalidArgumentError(f"entries must be a cubic 3-d array, got {E.shape}")
         self.entries = E
-        self.symmetric = bool(symmetric)
-        if self.symmetric and check:
-            self._check_symmetry()
         self.entries.flags.writeable = False
-
-    def _check_symmetry(self, rtol=1e-9):
-        E = self.entries
-        scale = max(float(np.max(np.abs(E))), 1e-30)
-        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            if np.max(np.abs(E - E.transpose(perm))) > rtol * scale:
-                raise InvalidArgumentError("tensor flagged symmetric fails the symmetry check")
 
     @property
     def dim(self):
@@ -151,7 +121,7 @@ class DenseTensor3:
         return out
 
     def __repr__(self):
-        return f"DenseTensor3(d={self.dim}, symmetric={self.symmetric})"
+        return f"DenseTensor3(d={self.dim})"
 
 
 class PerturbedTensor:
@@ -226,14 +196,8 @@ def densify(tensor, dim_limit=DENSE_DIM_LIMIT):
         raise ResourceBudgetError(
             f"refusing to densify d={tensor.dim} > limit {dim_limit} (d**3 entries)"
         )
-    E = np.einsum(
-        "j,ij,kj,lj->ikl",
-        tensor.weights,
-        tensor.components,
-        tensor.components_b,
-        tensor.components_c,
-    )
-    return DenseTensor3(E, symmetric=tensor.is_symmetric, check=False)
+    A = tensor.components
+    return DenseTensor3(np.einsum("j,ij,kj,lj->ikl", tensor.weights, A, A, A))
 
 
 def _average_orbits(E):
@@ -266,7 +230,7 @@ def symmetrize(entries):
     E = np.array(entries, dtype=np.float64, order="C")
     if E.ndim != 3 or len(set(E.shape)) != 1:
         raise InvalidArgumentError(f"entries must be a cubic 3-d array, got {E.shape}")
-    return DenseTensor3(_average_orbits(E), symmetric=True, check=False)
+    return DenseTensor3(_average_orbits(E))
 
 
 def random_components(d, k, seed):
@@ -320,10 +284,10 @@ def scale_noise_to(noise, target_spectral_norm, seed=0, restarts=8, iters=20):
     """
     if not isinstance(noise, DenseTensor3):
         raise InvalidArgumentError("scale_noise_to expects a DenseTensor3")
-    if target_spectral_norm < 0:
-        raise InvalidArgumentError("target spectral norm must be >= 0")
+    if not 0 <= target_spectral_norm < np.inf:
+        raise InvalidArgumentError("target spectral norm must be finite and >= 0")
     current = spectral_norm_estimate(noise, restarts=restarts, iters=iters, seed=seed)
     if current == 0.0:
         raise InvalidArgumentError("cannot rescale a zero tensor")
     factor = target_spectral_norm / current
-    return DenseTensor3(noise.entries * factor, symmetric=noise.symmetric, check=False)
+    return DenseTensor3(noise.entries * factor)

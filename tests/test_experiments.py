@@ -238,7 +238,7 @@ def test_noise_tensor_matches_symmetrize_of_the_one_shot_draw(d):
     built = experiments._noise_tensor(d, target, seed)
     raw = stream(seed, 602).standard_normal((d, d, d))
     oracle = scale_noise_to(symmetrize(raw), target, seed=seed, restarts=4, iters=12).entries
-    assert built.symmetric and not built.entries.flags.writeable
+    assert not built.entries.flags.writeable
     assert np.array_equal(built.entries, oracle)
     for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
         assert np.array_equal(built.entries, built.entries.transpose(perm))

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from tpi.models import (
     snr,
 )
 from tpi.rng import stream
-from tpi.tensors import FactoredTensor3, densify, random_components
+from tpi.tensors import FactoredTensor3, densify, random_components, scale_noise_to, symmetrize
 
 
 def gmm_modified_moment_loops(A, lam, sigma):
@@ -169,7 +170,7 @@ def one_shot_multiview(model, n, seed):
     h = rng.choice(model.rank, size=n, p=model.priors)
     views = []
     for l in range(3):
-        Z = model.factor_for_view(l)[:, h].copy()
+        Z = model.factor[:, h].copy()
         if model.noise_scale > 0:
             Z += model.noise_scale * rng.standard_normal((model.dim, n))
         views.append(Z)
@@ -185,7 +186,7 @@ def one_shot_gmm(gmm, n, seed):
 
 def one_shot_snr_mean_noise(batch, model):
     """snr's mean residual norm from one view-sized residual."""
-    resid = batch.views[0] - model.factor_for_view(0)[:, batch.labels]
+    resid = batch.views[0] - model.factor[:, batch.labels]
     return float(np.mean(np.linalg.norm(resid, axis=0)))
 
 
@@ -264,21 +265,33 @@ def test_snr_noiseless_is_infinite():
     assert snr(batch, model).empirical == np.inf
 
 
-def test_asymmetric_mixture_moment():
-    d, k = 5, 4
-    A = random_components(d, k, seed=41)
-    B = random_components(d, k, seed=42)
-    C = random_components(d, k, seed=43)
-    priors = np.full(k, 0.25)
-    model = MixtureModel((A, B, C), priors, noise_scale=0.0)
-    assert model.is_asymmetric
-    T = population_third_moment(model)
-    batch = sample_multiview(model, 100, seed=44)
+def test_empirical_moment_keeps_the_view_order():
+    # noisy views differ, so the cross-view sum is not symmetric and any
+    # permutation of the views gives a different tensor
+    d, k, n = 5, 4, 300
+    model = MixtureModel(random_components(d, k, seed=41), np.full(k, 0.25), noise_scale=0.3)
+    batch = sample_multiview(model, n, seed=44)
     emp = empirical_third_moment(batch).entries
-    # noiseless: empirical moment is an average of rank-one terms from T's factors
-    ref = np.einsum("ih,jh,lh->ijl", A[:, batch.labels], B[:, batch.labels], C[:, batch.labels]) / 100
-    assert np.max(np.abs(emp - ref)) < 1e-12
-    assert T.components_b is not T.components
+    Z = batch.views
+    assert np.max(np.abs(emp - np.einsum("it,jt,lt->ijl", *Z) / n)) < 1e-12
+    for order in itertools.permutations(range(3)):
+        if order != (0, 1, 2):
+            permuted = np.einsum("it,jt,lt->ijl", *(Z[l] for l in order)) / n
+            assert np.max(np.abs(emp - permuted)) > 1e-3, order
+
+
+@pytest.mark.parametrize("what", ["noise_scale", "sigma", "target"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_noise_parameters_are_rejected(what, value):
+    A = random_components(4, 3, seed=46)
+    priors = np.full(3, 1 / 3)
+    with pytest.raises(InvalidArgumentError):
+        if what == "noise_scale":
+            MixtureModel(A, priors, noise_scale=value)
+        elif what == "sigma":
+            SphericalGmm(A, priors, value)
+        else:
+            scale_noise_to(symmetrize(stream(46, 1).standard_normal((4, 4, 4))), value)
 
 
 def test_priors_validation():

@@ -10,7 +10,6 @@ from tpi.power import (
     default_max_iters,
     power_step,
     run_power,
-    run_power_asymmetric,
     run_power_with_shadow,
 )
 from tpi.rng import stream
@@ -202,66 +201,6 @@ def test_full_trace_records_iterates():
     assert len(trace.xs) == len(trace) == len(trace.unnormalized_norms)
     assert np.array_equal(trace.xs[0], x0) and np.array_equal(trace.xs[-1], trace.final_x)
     assert np.all(np.isnan(trace.correlations)) and not np.any(trace.noise_norms)
-
-
-def test_asymmetric_reduces_to_symmetric():
-    A = random_components(9, 14, seed=7)
-    T = FactoredTensor3(A, np.ones(14))
-    x0 = A[:, 2]
-    cfg = PowerConfig(max_iters=6, convergence_gamma=1e-12)
-    sym = run_power(T, x0, cfg)
-    tra, trb, trc = run_power_asymmetric(T, x0, x0.copy(), x0.copy(), cfg)
-    assert np.array_equal(tra.final_x, sym.final_x)
-    assert np.array_equal(trb.final_x, sym.final_x)
-
-
-def test_asymmetric_sweep_matches_dense_contractions():
-    # one sweep against einsum on the dense tensor, every mode opened in turn
-    d, k = 7, 11
-    A, B, C = (random_components(d, k, seed=s) for s in (21, 22, 23))
-    T = FactoredTensor3(A, np.linspace(0.5, 2.0, k), B, C)
-    E = densify(T).entries
-    rng = stream(21, 58)
-    x1, x2, x3 = (v / np.linalg.norm(v) for v in rng.standard_normal((3, d)))
-    traces = run_power_asymmetric(T, x1, x2, x3, PowerConfig(max_iters=1))
-    refs = (np.einsum("ijk,j,k->i", E, x2, x3),
-            np.einsum("ijk,i,k->j", E, x1, x3),
-            np.einsum("ijk,i,j->k", E, x1, x2))
-    for tr, ref in zip(traces, refs):
-        assert len(tr) == 2
-        assert abs(tr.unnormalized_norms[1] - np.linalg.norm(ref)) < 1e-12
-        assert np.max(np.abs(tr.final_x - ref / np.linalg.norm(ref))) < 1e-12
-
-
-def test_asymmetric_recovers_modes_from_warm_start():
-    # fixed-seed cohort; margins measured once and frozen with slack
-    mins = []
-    for seed in range(30):
-        d, k = 40, 25
-        A = random_components(d, k, seed=seed)
-        B = random_components(d, k, seed=seed + 1000)
-        C = random_components(d, k, seed=seed + 2000)
-        T = FactoredTensor3(A, np.ones(k), B, C)
-        rng = stream(seed, 9)
-
-        def warm(col):
-            v = col + 0.25 * rng.standard_normal(d)
-            return v / np.linalg.norm(v)
-
-        cfg = PowerConfig(max_iters=30)
-        tra, trb, trc = run_power_asymmetric(
-            T, warm(A[:, 0]), warm(B[:, 0]), warm(C[:, 0]), cfg, targets=(A[:, 0], B[:, 0], C[:, 0])
-        )
-        mins.append(
-            min(
-                abs(tra.final_correlation()),
-                abs(trb.final_correlation()),
-                abs(trc.final_correlation()),
-            )
-        )
-    mins = np.array(mins)
-    assert np.median(mins) >= 0.95
-    assert mins.min() >= 0.90
 
 
 def test_shadow_with_zero_noise_matches_clean_run():

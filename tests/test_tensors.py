@@ -183,16 +183,6 @@ def test_densify_budget_guard():
         densify(T)
 
 
-def test_symmetry_flags():
-    A = random_components(6, 4, seed=9)
-    lam = np.array([1.0, 2.0, 3.0, 4.0])
-    T = FactoredTensor3(A, lam)
-    assert T.is_symmetric
-    B = random_components(6, 4, seed=10)
-    T2 = FactoredTensor3(A, lam, B, B)
-    assert not T2.is_symmetric
-
-
 def _block_representations():
     """One tensor of every representation at d = 7; the sample tensor has
     n = 2500 so its contraction crosses two chunk boundaries."""
@@ -202,12 +192,10 @@ def _block_representations():
     rng = stream(24, 1)
     A = random_components(d, k, seed=3)
     sym = FactoredTensor3(A, rng.uniform(0.5, 2.0, k))
-    asym = FactoredTensor3(A, np.ones(k), random_components(d, k, seed=4),
-                           random_components(d, k, seed=5))
     noise = symmetrize(rng.standard_normal((d, d, d)))
     model = MixtureModel(A, np.full(k, 1.0 / k), noise_scale=0.1)
     samples = SampleTensor3(sample_multiview(model, 2500, seed=24))
-    return {"factored": sym, "asymmetric": asym, "dense": densify(sym),
+    return {"factored": sym, "dense": densify(sym),
             "perturbed": PerturbedTensor(sym, noise),
             "samples": samples}
 
@@ -241,10 +229,10 @@ def test_block_column_does_not_depend_on_its_neighbours():
 
 def test_vector_contraction_keeps_its_formula():
     rng = stream(27, 1)
-    T = _block_representations()["asymmetric"]
+    T = _block_representations()["factored"]
+    A = T.components
     v, w = rng.standard_normal(T.dim), rng.standard_normal(T.dim)
-    coeff = T.weights * (T.components_b.T @ v) * (T.components_c.T @ w)
-    assert np.array_equal(contract_1(T, v, w), T.components @ coeff)
+    assert np.array_equal(contract_1(T, v, w), A @ (T.weights * (A.T @ v) * (A.T @ w)))
     # dense: the last mode, then the middle one (the d x d^2 unfolding times
     # vec(v w^T) rounds differently at different BLAS thread counts)
     D = densify(T)
