@@ -1,14 +1,14 @@
-"""Learn mixture components from three-view samples, three ways.
+"""Learn mixture components from three-view samples, two ways.
 
 Draws n samples from a k-component multiview mixture (each view observes
 the same component matrix under isotropic noise scaled by zeta), then
-estimates the components with the pipeline in its three tensor modes:
+estimates the components with the pipeline in its two tensor modes:
 
   exact-tensor      power iteration on the population moment (cheating
                     baseline: needs the model, shows the noiseless ceiling)
-  empirical-tensor  densified third cross-moment of the batch
-  implicit-samples  never forms the d^3 tensor; contracts against the
-                    sample triples directly, O(d*n) per step
+  implicit-samples  the third cross-moment of the batch, never formed as a
+                    d^3 tensor; contracts against the sample triples
+                    directly, O(d*n) per step
 
 Initializations are the normalized view-1 samples themselves, which is the
 whole point: each sample leans toward the component that generated it, so
@@ -48,7 +48,7 @@ truth = FactoredTensor3(A, np.full(k, 1.0 / k))
 pcfg = PowerConfig(max_iters=25)
 ccfg = ClusterConfig()
 
-for mode in ("exact-tensor", "empirical-tensor", "implicit-samples"):
+for mode in ("exact-tensor", "implicit-samples"):
     t0 = time.perf_counter()
     result = learn_multiview(batch, mode, pcfg, ccfg, model=model,
                              max_inits=inits)

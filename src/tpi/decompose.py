@@ -49,8 +49,9 @@ class DecompositionResult:
 
     ``estimates`` is d x m with unit columns, pairwise |<xi, xj>| <= nu/2.
     ``weights`` is the cubic-form readout T(x, x, x) per estimate.
-    ``diagnostics`` carries per-estimate scores, refinement score paths,
-    iteration counts, and the dropped-duplicate counter.
+    ``diagnostics`` carries per-estimate selection scores, the initial runs'
+    iteration counts, and the dropped-duplicate and non-monotone-refinement
+    counters.
     """
 
     estimates: np.ndarray
@@ -86,27 +87,26 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
     half_nu = (cluster_config or ClusterConfig()).nu / 2.0
     alive = np.ones(len(starts), dtype=bool)
     estimates, weights, sizes = [], [], []
-    sel_scores, refine_paths = [], []
+    sel_scores = []
     duplicates_dropped = 0
     refine_monotone_violations = 0
 
     # |T(x, x, x)| of every pool member, from one block contraction
     scores = np.abs(_dots(X, contract_1(tensor, X, X)))
-    refined = {}  # pool index -> (refined vector, score path)
+    refined = {}  # pool index -> (refined vector, its T(x, x, x))
     while alive.any():
         idx = int(np.argmax(np.where(alive, scores, -np.inf)))
         if idx not in refined:
             batch = [j for j in _predicted_leaders(X, scores, alive, half_nu)
                      if j not in refined]
             if len(batch) > _NARROW_BATCH:
-                xs, paths = _refine(tensor, X[:, batch], n_iters)
-                for j, x, path in zip(batch, xs.T.copy(), np.array(paths).T.tolist()):
-                    refined[j] = x, path
+                xs, final = _refine(tensor, X[:, batch], n_iters)
+                for j, x, score in zip(batch, xs.T.copy(), final.tolist()):
+                    refined[j] = x, score
             else:
                 refined[idx] = _refine(tensor, X[:, idx].copy(), n_iters)
-        x, path = refined.pop(idx)
-        score = path[-1]
-        if abs(path[-1]) < abs(path[0]) - 1e-9:
+        x, score = refined.pop(idx)
+        if abs(score) < scores[idx] - 1e-9:
             refine_monotone_violations += 1
         if score < 0:
             x = -x
@@ -121,7 +121,6 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
             weights.append(abs(score))  # T(-x, -x, -x) = -T(x, x, x) exactly
             sizes.append(int(cluster.sum()))
             sel_scores.append(float(scores[idx]))
-            refine_paths.append(path)
         alive &= ~cluster
 
     E = np.array(estimates).T if estimates else np.zeros((tensor.dim, 0))
@@ -131,7 +130,6 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
         cluster_sizes=np.array(sizes, dtype=int),
         diagnostics={
             "selection_scores": np.array(sel_scores),
-            "refine_score_paths": refine_paths,
             "init_iterations": trace.iterations,
             "duplicates_dropped": duplicates_dropped,
             "refine_monotone_violations": refine_monotone_violations,
@@ -156,18 +154,12 @@ def _predicted_leaders(X, scores, alive, half_nu):
 def _refine(tensor, x, n_iters):
     """n_iters power steps from a vector x, or from each column of a block.
 
-    Returns the refined x and its score path: T(x, x, x) before each step,
-    read off the step as <x, T(I, x, x)> = ||T(I, x, x)|| <x, x_next>, then
-    at the refined x.  A block's path holds one array of m per entry.
+    Returns the refined x and its T(x, x, x), an array of m for a block.
     """
-    path = []
     for _ in range(n_iters):
-        x_next, nrm = power_step(tensor, x)
-        path.append(nrm * _dots(x, x_next))
-        x = x_next
-    path.append(contract_scalar(tensor, x, x, x) if x.ndim == 1
-                else _dots(x, contract_1(tensor, x, x)))
-    return x, path
+        x, _ = power_step(tensor, x)
+    return x, (contract_scalar(tensor, x, x, x) if x.ndim == 1
+               else _dots(x, contract_1(tensor, x, x)))
 
 
 def _dots(a, b):
@@ -183,13 +175,12 @@ def learn_multiview(batch, mode, power_config=None, cluster_config=None, model=N
     first ``max_inits``).  ``mode`` picks the tensor representation:
 
     * "exact-tensor" — the population tensor from ``model`` (evaluation runs);
-    * "empirical-tensor" — the dense cross-view moment of the batch;
     * "implicit-samples" — contract directly against the samples, O(dn) per
-      step, for d beyond the dense budget.
+      step, without the d^3 moment.
 
     Labels in the batch are never read here.
     """
-    from .models import SampleTensor3, empirical_third_moment, population_third_moment
+    from .models import SampleTensor3, population_third_moment
 
     if batch.n < 1:
         raise InvalidArgumentError("empty batch")
@@ -199,8 +190,6 @@ def learn_multiview(batch, mode, power_config=None, cluster_config=None, model=N
         if model is None:
             raise InvalidArgumentError("exact-tensor mode needs the model")
         tensor = population_third_moment(model)
-    elif mode == "empirical-tensor":
-        tensor = empirical_third_moment(batch)
     elif mode == "implicit-samples":
         tensor = SampleTensor3(batch)
     else:

@@ -93,7 +93,6 @@ NUM = _type("a finite number",
 NONNEG = _type("a number >= 0", lambda v: NUM.ok(v) and v >= 0)
 POSITIVE = _type("a number > 0", lambda v: NUM.ok(v) and v > 0)
 STR = _type("a string", lambda v: isinstance(v, str))
-BOOL = _type("true or false", lambda v: isinstance(v, bool))
 OBJECT = _type("a JSON object", lambda v: isinstance(v, dict))
 
 
@@ -469,8 +468,7 @@ def _run_dynamics(config, threads):
     cfg = config.data
     base, count = config.seed_base, config.seed_count
     sweep = cfg["kind"] == "noise-sweep"
-    factors = cfg["noise_norm_factors"] if sweep \
-        else [cfg.get("noise_norm_factor", 0.0)]
+    factors = cfg["noise_norm_factors"] if sweep else [0.0]
 
     def worker(i):
         return [_dynamics_seed(config, base + i, factor) for factor in factors]
@@ -688,7 +686,7 @@ def _run_sample_complexity(config, threads):
 _DKT = {**_DK, "trials": (COUNT, _REQUIRED)}
 
 # check name -> (function, parameter spec).  The function takes the
-# parameters by name, plus seed and threads.  A parameter's default is the
+# parameters by name, plus the seed.  A parameter's default is the
 # function's own, or the spec's where the function has none; it is filled in
 # at the call and never enters the config.
 _PROBE_CHECKS = {
@@ -696,7 +694,7 @@ _PROBE_CHECKS = {
     "iterative-conditioning": (check_iterative_conditioning, {
         **_DKT, "chain_length": (COUNT, 3), "sigma2": POSITIVE}),
     "fresh-randomness": (check_fresh_randomness, {
-        **_DKT, "t": (INT, _REQUIRED), "enforce_regime": BOOL}),
+        **_DKT, "t": (INT, _REQUIRED)}),
     "mixed-norm": (check_mixed_norm_bound, _DKT),
     "gmm-moment": (check_gmm_moment, {
         **_DK, "sigma": (POSITIVE, _REQUIRED), "n": INT, "analytic_tol": NONNEG,
@@ -717,7 +715,7 @@ def _probe_checks(value, where):
 def _run_check(chk, seed):
     fn, params = _PROBE_CHECKS[chk["check"]]
     kwargs = _walk({key: val for key, val in chk.items() if key != "check"}, params)
-    return fn(seed=seed, threads=1, **kwargs)
+    return fn(seed=seed, **kwargs)
 
 
 def _run_probe(config, threads):
@@ -741,16 +739,15 @@ def _run_probe(config, threads):
 # the kinds
 
 
-# Only the PowerConfig and ClusterConfig fields a kind's runs read: decompose
-# runs without a target, so convergence_gamma only stops a dynamics run,
-# where an absent max_iters means 15 steps.
+# Only the PowerConfig and ClusterConfig fields a kind's runs read; in a
+# dynamics run an absent max_iters means 15 steps.
 _MAX_ITERS = _either(INT, _type("null", lambda v: v is None))
 _DECOMPOSE = {"power": {"max_iters": _MAX_ITERS}, "cluster": {"nu": NUM}}
 _RECOVERY_ACCEPT = dict(require_components=INT, min_correlation=NUM, recovered_fraction=NUM,
                         correlation_threshold=NUM, frobenius_factor=NUM)
 _DYNAMICS = {
     **_DK, "init_correlation": (_list_of(NUM, 2), _REQUIRED),
-    "power": {"max_iters": COUNT, "convergence_gamma": NUM},
+    "power": {"max_iters": COUNT},
     "accept": dict(success_correlation=NUM, within_iterations=INT, success_rate=NUM,
                    quadratic_rate=NUM, quadratic_pass_rate=NUM, saturation_fraction=NUM,
                    final_correlation=NUM, final_rate=NUM, xi_max=NUM),
@@ -776,8 +773,7 @@ _KINDS = {
             # weight_tol bounds weight_max_err, which is NaN without true weights
             multiview={
                 "inits": (COUNT, lambda cfg: 4 * cfg["k"]),
-                "tensor_mode": (_choice("exact-tensor", "empirical-tensor", "implicit-samples"),
-                                "implicit-samples"),
+                "tensor_mode": (_choice("exact-tensor", "implicit-samples"), "implicit-samples"),
                 "n": (COUNT, _REQUIRED), "zeta": NONNEG, "snr_target": POSITIVE,
                 "accept": _RECOVERY_ACCEPT,
             }), "tensor"),
@@ -786,7 +782,7 @@ _KINDS = {
         (lambda cfg: cfg["source"] == "tensor" or ("zeta" in cfg) != ("snr_target" in cfg),
          "multiview recovery needs exactly one of zeta, snr_target"),
     )),
-    "dynamics": _Kind({**_DYNAMICS, "noise_norm_factor": NONNEG}, _run_dynamics, _DYNAMICS_RULES),
+    "dynamics": _Kind(_DYNAMICS, _run_dynamics, _DYNAMICS_RULES),
     "noise-sweep": _Kind({**_DYNAMICS, "noise_norm_factors": (_list_of(NONNEG), _REQUIRED)},
                          _run_dynamics, _DYNAMICS_RULES),
     "sample-complexity": _Kind({

@@ -43,7 +43,8 @@ def _check_simplex(priors, k):
     p = np.ascontiguousarray(priors, dtype=np.float64)
     if p.shape != (k,):
         raise InvalidArgumentError("priors must have length k")
-    if np.any(p <= 0.0) or abs(float(p.sum()) - 1.0) > 1e-12:
+    # a NaN prior fails both comparisons, so it is refused
+    if not (np.all(p > 0.0) and abs(float(p.sum()) - 1.0) <= 1e-12):
         raise InvalidArgumentError("priors must be positive and sum to 1 within 1e-12")
     return p
 
@@ -68,7 +69,7 @@ class MixtureModel:
 
 
 class SampleBatch:
-    """Observations from a multiview draw: one d x n matrix per view.
+    """Observations from a multiview draw: three d x n matrices, one per view.
 
     ``labels`` holds the true hidden states and exists for evaluation only;
     decomposition code never reads it.
@@ -76,6 +77,8 @@ class SampleBatch:
 
     def __init__(self, views, labels=None):
         self.views = [np.ascontiguousarray(V, dtype=np.float64) for V in views]
+        if len(self.views) != 3:
+            raise InvalidArgumentError(f"need exactly three views, got {len(self.views)}")
         shapes = {V.shape for V in self.views}
         if len(shapes) != 1 or self.views[0].ndim != 2:
             raise InvalidArgumentError("all views must share the same d x n shape")
@@ -90,10 +93,6 @@ class SampleBatch:
     @property
     def n(self):
         return self.views[0].shape[1]
-
-    @property
-    def p(self):
-        return len(self.views)
 
 
 @dataclass
@@ -184,10 +183,8 @@ def _sample_sum(Z1, Z2, Z3):
 
 def empirical_third_moment(batch):
     """Cross-view average (1/n) sum_i z1 (x) z2 (x) z3 as a DenseTensor3."""
-    if batch.p < 3:
-        raise InvalidArgumentError("need at least three views")
     _budget_check(batch.d)
-    acc = _sample_sum(*batch.views[:3])
+    acc = _sample_sum(*batch.views)
     return DenseTensor3(acc / batch.n)
 
 
@@ -207,9 +204,7 @@ class SampleTensor3:
     """
 
     def __init__(self, batch):
-        if batch.p < 3:
-            raise InvalidArgumentError("need at least three views")
-        views = batch.views[:3]
+        views = batch.views
         self._Z1 = views[0]
         self._n = n = batch.n
         d, full = self.dim, n - n % _SAMPLE_CHUNK
@@ -298,8 +293,6 @@ class SnrReport:
 
     empirical: float
     theoretical: float
-    noise_scale: float
-    expected_noise_norm: float
 
 
 def snr(batch, model):
@@ -329,9 +322,4 @@ def snr(batch, model):
     zeta = model.noise_scale
     theo = float("inf") if zeta == 0 else 1.0 / (zeta * np.sqrt(model.dim))
     emp = float("inf") if mean_noise == 0 else 1.0 / mean_noise
-    return SnrReport(
-        empirical=emp,
-        theoretical=theo,
-        noise_scale=zeta,
-        expected_noise_norm=zeta * np.sqrt(model.dim),
-    )
+    return SnrReport(empirical=emp, theoretical=theo)

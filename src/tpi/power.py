@@ -26,6 +26,9 @@ import numpy as np
 from .errors import DegenerateIterateError, InvalidArgumentError
 from .tensors import PerturbedTensor, contract_1
 
+# A run given a target halts once |<x, target>| >= 1 - _GAMMA.
+_GAMMA = 0.05
+
 
 def default_max_iters(d):
     """Iteration budget ceil(4*log2(log2(max(d, 4)))) + 10 (log-log growth plus slack)."""
@@ -35,19 +38,12 @@ def default_max_iters(d):
 
 @dataclass
 class PowerConfig:
-    """Knobs for a power-iteration run.
-
-    max_iters of None resolves to ``default_max_iters(d)`` at run time.
-    convergence_gamma is the early-stop margin: a run given a target halts
-    once |<x, target>| >= 1 - gamma.
-    """
+    """The iteration budget of a power run: max_iters of None resolves to
+    ``default_max_iters(d)`` at run time."""
 
     max_iters: int | None = None
-    convergence_gamma: float = 0.05
 
     def __post_init__(self):
-        if not (0.0 < self.convergence_gamma < 1.0):
-            raise InvalidArgumentError("convergence_gamma must lie in (0, 1)")
         if self.max_iters is not None and self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
 
@@ -136,7 +132,7 @@ def power_step(tensor, x):
 def run_power(tensor, x0, config=None, target=None):
     """Iterate power updates from x0, recording a trace.
 
-    Stops early when |<x, target>| reaches 1 - gamma (given a unit
+    Stops early when |<x, target>| reaches 0.95 (given a unit
     ``target``), or when successive iterates agree up to sign (a fixed
     point).  Always runs at most ``max_iters`` updates.
 
@@ -154,7 +150,7 @@ def run_power(tensor, x0, config=None, target=None):
     if target is not None and (block or np.shape(target) != x.shape):
         raise InvalidArgumentError("a target is one vector as long as the start; blocks take none")
     n_iters = config.max_iters or default_max_iters(tensor.dim)
-    stop = 1.0 - config.convergence_gamma
+    stop = 1.0 - _GAMMA
 
     trace = IterationTrace()
     m = x.shape[1] if block else 1

@@ -12,8 +12,8 @@ Two families live here:
 Everything here measures; nothing proves.  Statistical checks run at a fixed
 4-standard-error band and report trial counts, thresholds, and (capped) raw
 per-trial statistics so a failure can be audited offline.  All Monte Carlo
-loops are chunked over fixed trial blocks with per-block derived streams, so
-results are identical for any thread count.
+loops run over fixed trial blocks, each drawing from its own derived stream;
+an experiment's worker pool parallelizes over seeds, not blocks.
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .models import SphericalGmm, gmm_modified_moment, gmm_population_modified_moment, sample_gmm
-from .rng import _one_blas_thread, map_in_order, stream
+from .rng import _one_blas_thread, stream
 from .tensors import FactoredTensor3, densify, random_components
 
 _SE_BAND = 4.0
@@ -218,8 +218,7 @@ class ConstraintChain:
 # to split across its threads, which moves their last bits; one thread keeps
 # the report the same at any BLAS thread count.
 @_one_blas_thread()
-def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
-                             threads=None):
+def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None):
     """Verify the single-constraint Gaussian conditioning identity.
 
     Draws ``trials`` samples of a d x k matrix with i.i.d. N(0, sigma2)
@@ -269,7 +268,7 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
         dev_f = np.linalg.norm(resid.reshape(len(samp), -1), axis=1)
         return s1, s2, orth, dev_f
 
-    parts = map_in_order(one_block, len(sizes), threads)
+    parts = [one_block(i) for i in range(len(sizes))]
     mean_emp = sum(p[0] for p in parts) / trials
     cov_emp = sum(p[1] for p in parts) / (trials * d)
     orth_res = max(p[2] for p in parts)
@@ -332,8 +331,7 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None,
 
 
 @_one_blas_thread()  # as check_conditioning_lemma
-def check_iterative_conditioning(d, k, chain_length, trials, seed,
-                                 sigma2=1.0, threads=None):
+def check_iterative_conditioning(d, k, chain_length, trials, seed, sigma2=1.0):
     """Verify conditioning under a chain of alternating linear constraints.
 
     Builds a chain of length ``chain_length`` (right, left,
@@ -393,7 +391,7 @@ def check_iterative_conditioning(d, k, chain_length, trials, seed,
         dev_f = np.linalg.norm(resid.reshape(len(samp), -1), axis=1)
         return s1, s2, pooled_sq, orth, dev_f
 
-    parts = map_in_order(one_block, len(sizes), threads)
+    parts = [one_block(i) for i in range(len(sizes))]
     mean_emp = sum(p[0] for p in parts) / trials
     var_pos = sum(p[1] for p in parts) / trials
     pooled_var = sum(p[2] for p in parts) / (trials * n_free)
@@ -458,8 +456,7 @@ def check_iterative_conditioning(d, k, chain_length, trials, seed,
 _SHIFT_KINDS = ("zero", "dense", "spiky", "random")
 
 
-def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
-                           threads=None):
+def check_fresh_randomness(d, k, t, trials, seed):
     """Check that squaring a shifted Gaussian keeps fresh randomness.
 
     For random t-dimensional subspaces R, R' of R^k, z a standard Gaussian
@@ -469,10 +466,10 @@ def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
     projecting off R', in at least 99% of trials per shift kind.
 
     The asymptotic statement carries the regime t <= k/(16 log^2 k) (natural
-    log here), which no desk-scale (k, t) of interest satisfies; by default
-    the regime is only reported, and enforce_regime=True turns violation
-    into an error.  Returns a JSON-ready dict of per-kind pass rates and
-    minimum ratios, the regime figures and the verdict ``passed``.
+    log here), which no desk-scale (k, t) of interest satisfies, so the
+    regime is reported as ``regime_ok``, never enforced.  Returns a
+    JSON-ready dict of per-kind pass rates and minimum ratios, the regime
+    figures and the verdict ``passed``.
     """
     d, k, t = int(d), int(k), int(t)
     if t < 0 or t >= k:
@@ -481,10 +478,6 @@ def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
         raise InvalidArgumentError("need at least one trial")
     regime_limit = k / (16.0 * math.log(k) ** 2) if k > 1 else 0.0
     regime_ok = t <= regime_limit
-    if enforce_regime and not regime_ok:
-        raise InvalidArgumentError(
-            f"subspace dimension {t} exceeds the stated regime limit "
-            f"{regime_limit:.3f} for k={k}")
 
     bound = (k - t) / (40.0 * math.sqrt(k))
     sizes = _block_sizes(trials, block=128)
@@ -519,7 +512,7 @@ def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
             w_norms.append(float(np.linalg.norm((z) ** 2)))
         return ratios, w_norms
 
-    parts = map_in_order(one_block, len(sizes), threads)
+    parts = [one_block(i) for i in range(len(sizes))]
     ratios = {kind: [] for kind in _SHIFT_KINDS}
     w_norms = []
     for block_ratios, block_w in parts:
@@ -534,8 +527,7 @@ def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
         d=d, k=k, t=t, trials=trials, bound=float(bound),
         pass_rates=pass_rates, min_ratios=min_ratios,
         mean_w_norm=float(np.mean(w_norms)),
-        regime_ok=bool(regime_ok), regime_limit=float(regime_limit),
-        enforce_regime=bool(enforce_regime), passed=bool(passed),
+        regime_ok=bool(regime_ok), regime_limit=float(regime_limit), passed=bool(passed),
         details={
             "raw_ratios": {kind: _cap(vals) for kind, vals in ratios.items()},
             "expected_z_sq_norm": float(k - t),
@@ -548,7 +540,7 @@ def check_fresh_randomness(d, k, t, trials, seed, enforce_regime=False,
 # mixed-norm contraction bound
 
 
-def check_mixed_norm_bound(d, k, trials, seed, threads=None):
+def check_mixed_norm_bound(d, k, trials, seed):
     """Check the two-vector contraction bound under the max-correlation norm.
 
     Samples dictionaries with N(0, 1/d) columns, pairs (u, v) with the
@@ -593,8 +585,7 @@ def check_mixed_norm_bound(d, k, trials, seed, threads=None):
             out.append((float(val), float(tiny_val), cos))
         return out
 
-    rows = [row for part in map_in_order(one_block, len(sizes), threads)
-            for row in part]
+    rows = [row for i in range(len(sizes)) for row in one_block(i)]
     scale = math.sqrt(k / d)
     ratios = np.array([r[0] for r in rows]) / scale
     tiny_ratios = np.array([r[1] for r in rows]) / scale
@@ -620,15 +611,11 @@ def check_mixed_norm_bound(d, k, trials, seed, threads=None):
 # spherical-GMM modified moment
 
 
-def check_gmm_moment(d, k, sigma, seed, n=0, analytic_tol=1e-12, empirical_tol=0.05,
-                     threads=None):
+def check_gmm_moment(d, k, sigma, seed, n=0, analytic_tol=1e-12, empirical_tol=0.05):
     """Check that the spherical-GMM modified moment equals the factored
     tensor sum_j w_j a_j (x)3 of its means: the population form to
     ``analytic_tol`` in max entry, and, for n > 0, the moment of n samples to
     ``empirical_tol`` in Frobenius norm.  Returns a JSON-ready dict.
-
-    ``threads`` is accepted so every probe check takes the same arguments;
-    this check runs on the calling thread.
     """
     sigma = float(sigma)
     comps = random_components(d, k, seed=seed)

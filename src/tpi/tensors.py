@@ -185,17 +185,16 @@ def contract_scalar(tensor, u, v, w):
     return float(u @ contract_1(tensor, v, w))
 
 
-def densify(tensor, dim_limit=DENSE_DIM_LIMIT):
+def densify(tensor):
     """Materialize a FactoredTensor3 as a DenseTensor3 (oracle bridge).
 
-    Refuses d > dim_limit (d**3 floats) with a resource error.
+    Refuses d > ``DENSE_DIM_LIMIT`` (d**3 floats) with a resource error.
     """
     if not isinstance(tensor, FactoredTensor3):
         raise InvalidArgumentError("densify expects a FactoredTensor3")
-    if tensor.dim > dim_limit:
+    if tensor.dim > DENSE_DIM_LIMIT:
         raise ResourceBudgetError(
-            f"refusing to densify d={tensor.dim} > limit {dim_limit} (d**3 entries)"
-        )
+            f"refusing to densify d={tensor.dim} > limit {DENSE_DIM_LIMIT} (d**3 entries)")
     A = tensor.components
     return DenseTensor3(np.einsum("j,ij,kj,lj->ikl", tensor.weights, A, A, A))
 

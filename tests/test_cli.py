@@ -293,6 +293,17 @@ _POOLED = {"schema": 1, "kind": "sample-complexity", "d": 6, "k": 8, "zeta": 0.0
     # the generate kind and its subcommand were removed
     pytest.param({"schema": 1, "kind": "generate", "what": "tensor", "d": 6, "k": 8},
                  id="generate-kind"),
+    # settings that served one value: the 0.05 stop margin is a constant,
+    # a noisy single run is a one-factor noise-sweep, the dense sample
+    # moment duplicated implicit-samples, and the regime is reported only
+    pytest.param(dict(_BASE, power={"convergence_gamma": 0.1}), id="dynamics-convergence-gamma"),
+    pytest.param(dict(_BASE, kind="noise-sweep", noise_norm_factors=[0.1],
+                      power={"convergence_gamma": 0.1}), id="noise-sweep-convergence-gamma"),
+    pytest.param(dict(_BASE, noise_norm_factor=0.1), id="dynamics-noise-norm-factor"),
+    pytest.param(dict(_MULTIVIEW, tensor_mode="empirical-tensor"), id="multiview-empirical-tensor"),
+    pytest.param({"schema": 1, "kind": "probe", "checks": [
+        {"check": "fresh-randomness", "d": 10, "k": 20, "t": 1, "trials": 10,
+         "enforce_regime": False}]}, id="fresh-randomness-enforce-regime"),
 ])
 # refused before any numeric work: an infinite noise factor used to reach a
 # power run and fail there on a NaN iterate

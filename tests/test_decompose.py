@@ -36,7 +36,7 @@ def test_orthogonal_recovery_small():
     A = orthonormal(d, d, 60)
     lam = np.linspace(1.0, 2.0, d)
     T = FactoredTensor3(A, lam)
-    res = decompose(T, column_noise_inits(A, 0.2, 60), PowerConfig(max_iters=40, convergence_gamma=1e-10))
+    res = decompose(T, column_noise_inits(A, 0.2, 60), PowerConfig(max_iters=40))
     assert res.n_components == d
     rep = match_and_score(res.estimates, T)
     assert np.min(rep.per_component_correlations) >= 1 - 1e-8
@@ -63,21 +63,17 @@ def test_estimates_have_unit_columns_and_separation():
 def sequential_decompose(tensor, inits, n_iters, nu=0.5):
     """Reference emission loop: one leader at a time, refined as a vector.
 
-    Returns (estimates, weights, cluster sizes, selection scores, paths)."""
+    Returns (estimates, weights, cluster sizes, selection scores)."""
     X = run_power(tensor, np.asarray(inits).T, PowerConfig(max_iters=n_iters)).final_x
     scores = np.abs(np.einsum("ij,ij->j", X, contract_1(tensor, X, X)))
     alive = np.ones(X.shape[1], dtype=bool)
-    estimates, weights, sizes, selected, paths = [], [], [], [], []
+    estimates, weights, sizes, selected = [], [], [], []
     while alive.any():
         idx = int(np.argmax(np.where(alive, scores, -np.inf)))
         x = X[:, idx].copy()
-        path = []
         for _ in range(n_iters):
-            x_next, nrm = power_step(tensor, x)
-            path.append(nrm * float(x @ x_next))
-            x = x_next
+            x, _ = power_step(tensor, x)
         score = contract_scalar(tensor, x, x, x)
-        path.append(score)
         if score < 0:
             x = -x
         cluster = alive & (np.abs(x @ X) > nu / 2)
@@ -87,9 +83,8 @@ def sequential_decompose(tensor, inits, n_iters, nu=0.5):
             weights.append(abs(score))
             sizes.append(int(cluster.sum()))
             selected.append(float(scores[idx]))
-            paths.append(path)
         alive &= ~cluster
-    return np.array(estimates).T, np.array(weights), sizes, selected, paths
+    return np.array(estimates).T, np.array(weights), sizes, selected
 
 
 def count_refine_steps(monkeypatch):
@@ -124,26 +119,24 @@ def narrow_case():
 def test_blocked_refinement_matches_sequential_loop():
     T, inits = wide_case()
     res = decompose(T, inits, PowerConfig(max_iters=8))
-    E, w, sizes, selected, paths = sequential_decompose(T, inits, 8)
+    E, w, sizes, selected = sequential_decompose(T, inits, 8)
     assert res.n_components == E.shape[1] == 20
     assert res.cluster_sizes.tolist() == sizes
     assert res.diagnostics["selection_scores"].tolist() == selected
     assert np.max(np.abs(res.estimates - E)) < 1e-12
     assert np.max(np.abs(res.weights - w)) < 1e-12
-    assert np.max(np.abs(np.array(res.diagnostics["refine_score_paths"]) - paths)) < 1e-12
 
 
 def test_narrow_batches_refine_as_the_sequential_loop_bitwise(monkeypatch):
     T, inits = narrow_case()
     steps = count_refine_steps(monkeypatch)
     res = decompose(T, inits, PowerConfig(max_iters=8))
-    E, w, sizes, selected, paths = sequential_decompose(T, inits, 8)
+    E, w, sizes, selected = sequential_decompose(T, inits, 8)
     assert set(steps) == {(10,)}  # every refine step was a vector step
     assert np.array_equal(res.estimates, E)
     assert np.array_equal(res.weights, w)
     assert res.cluster_sizes.tolist() == sizes
     assert res.diagnostics["selection_scores"].tolist() == selected
-    assert res.diagnostics["refine_score_paths"] == paths
 
 
 def test_predicted_leaders_refine_in_one_block(monkeypatch):
@@ -249,25 +242,18 @@ def test_learn_multiview_exact_tensor_cohort():
 
 
 def test_learn_multiview_modes_agree_noiselessly():
-    # with zero noise and orthonormal components every mode recovers all k;
-    # the dense empirical and implicit sample tensors are the same operator,
-    # so those two agree to machine precision column for column
+    # with zero noise and orthonormal components both modes recover all k
+    # (the dense moment is checked against the sample tensor in test_models)
     d, k = 20, 8
     A = orthonormal(d, k, 70)
     model = MixtureModel(A, np.full(k, 1.0 / k), noise_scale=0.0)
     batch = sample_multiview(model, 1200, seed=70)
-    cfg = PowerConfig(max_iters=25, convergence_gamma=1e-10)
-    outs = {}
-    for mode in ("exact-tensor", "empirical-tensor", "implicit-samples"):
+    cfg = PowerConfig(max_iters=25)
+    for mode in ("exact-tensor", "implicit-samples"):
         res = learn_multiview(batch, mode, cfg, ClusterConfig(), model=model, max_inits=80)
         rep = match_and_score(res.estimates, FactoredTensor3(A, np.ones(k)))
         assert rep.matched_pairs == k, mode
         assert np.min(rep.per_component_correlations) > 1 - 1e-10, mode
-        outs[mode] = res
-    e = outs["empirical-tensor"].estimates
-    i = outs["implicit-samples"].estimates
-    assert e.shape == i.shape
-    assert np.max(np.abs(e - i)) < 1e-12
 
 
 def test_learn_multiview_requires_model_for_exact():
@@ -276,8 +262,9 @@ def test_learn_multiview_requires_model_for_exact():
     batch = sample_multiview(model, 20, seed=71)
     with pytest.raises(InvalidArgumentError):
         learn_multiview(batch, "exact-tensor")
-    with pytest.raises(InvalidArgumentError):
-        learn_multiview(batch, "no-such-mode", model=model)
+    for mode in ("no-such-mode", "empirical-tensor"):
+        with pytest.raises(InvalidArgumentError):
+            learn_multiview(batch, mode, model=model)
 
 
 @pytest.mark.parametrize("max_inits", [0, -5])

@@ -79,7 +79,7 @@ def test_multiview_samples_noiseless_are_columns():
     A = random_components(6, 4, seed=33)
     model = MixtureModel(A, np.full(4, 0.25), noise_scale=0.0)
     batch = sample_multiview(model, 50, seed=33)
-    assert batch.p == 3 and batch.n == 50 and batch.d == 6
+    assert len(batch.views) == 3 and batch.n == 50 and batch.d == 6
     for V in batch.views:
         assert np.max(np.abs(V - A[:, batch.labels])) == 0.0
 
@@ -136,7 +136,7 @@ def test_sample_tensor_contraction_matches_dense():
 
 def chunk_loop_contraction(batch, v, w, chunk=1024):
     """T(I, v, w) as a plain loop over 1024-sample slices of the views."""
-    Z1, Z2, Z3 = batch.views[:3]
+    Z1, Z2, Z3 = batch.views
     acc = np.zeros(np.shape(v))
     for lo in range(0, batch.n, chunk):
         s = slice(lo, lo + chunk)
@@ -300,3 +300,18 @@ def test_priors_validation():
         MixtureModel(A, np.array([0.5, 0.5, 0.5]))
     with pytest.raises(InvalidArgumentError):
         MixtureModel(A, np.array([0.7, 0.3, 0.0]))
+
+
+@pytest.mark.parametrize("make", [MixtureModel, SphericalGmm], ids=["mixture", "gmm"])
+def test_nan_priors_are_rejected(make):
+    # NaN fails both "<= 0" and the sum test; it used to get through to
+    # sample_multiview, which ended in numpy's ValueError
+    with pytest.raises(InvalidArgumentError):
+        make(random_components(4, 3, seed=45), np.array([np.nan, 0.5, 0.5]), 0.1)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_sample_batch_takes_exactly_three_views(count):
+    Z = random_components(4, 6, seed=48)
+    with pytest.raises(InvalidArgumentError):
+        SampleBatch([Z] * count)
