@@ -10,7 +10,6 @@ machine precision.
 import numpy as np
 
 from tpi.decompose import decompose, match_and_score
-from tpi.power import PowerConfig
 from tpi.rng import stream
 from tpi.tensors import FactoredTensor3
 
@@ -27,7 +26,7 @@ T = FactoredTensor3(A, weights)
 inits = A + 0.3 * stream(seed, 3).standard_normal((d, k))
 inits /= np.linalg.norm(inits, axis=0)
 
-result = decompose(T, inits.T, PowerConfig(max_iters=50))
+result = decompose(T, inits.T, max_iters=50)
 report = match_and_score(result.estimates, T)
 
 print(f"components returned : {result.estimates.shape[1]} of {k}")

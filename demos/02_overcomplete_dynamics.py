@@ -12,7 +12,7 @@ d=400, k=1200 every run of the same cohort does.
 
 import numpy as np
 
-from tpi.power import PowerConfig, run_power
+from tpi.power import run_power
 from tpi.probes import quadratic_progress_ok
 from tpi.rng import stream
 from tpi.tensors import FactoredTensor3, random_components
@@ -36,7 +36,7 @@ for seed in seeds:
     g -= (g @ A[:, 0]) * A[:, 0]
     x0 = c0 * A[:, 0] + np.sqrt(1 - c0**2) * g / np.linalg.norm(g)
 
-    trace = run_power(T, x0, PowerConfig(max_iters=iters), target=A[:, 0])
+    trace = run_power(T, x0, max_iters=iters, target=A[:, 0])
     corrs = np.abs(trace.target_correlations)
     quad = quadratic_progress_ok(corrs, d, k)
     cells = " ".join(f"{c * scale:5.2f}" for c in corrs)

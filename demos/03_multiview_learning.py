@@ -24,9 +24,8 @@ import time
 
 import numpy as np
 
-from tpi.decompose import ClusterConfig, learn_multiview, match_and_score
+from tpi.decompose import learn_multiview, match_and_score
 from tpi.models import MixtureModel, sample_multiview, snr
-from tpi.power import PowerConfig
 from tpi.rng import stream
 from tpi.tensors import FactoredTensor3
 
@@ -45,12 +44,10 @@ print(f"d={d} k={k} n={n} zeta={zeta}  snr empirical={rep.empirical:.2f} "
 print()
 
 truth = FactoredTensor3(A, np.full(k, 1.0 / k))
-pcfg = PowerConfig(max_iters=25)
-ccfg = ClusterConfig()
 
 for mode in ("exact-tensor", "implicit-samples"):
     t0 = time.perf_counter()
-    result = learn_multiview(batch, mode, pcfg, ccfg, model=model,
+    result = learn_multiview(batch, mode, max_iters=25, nu=0.5, model=model,
                              max_inits=inits)
     dt = time.perf_counter() - t0
     report = match_and_score(result.estimates, truth)

@@ -14,7 +14,7 @@ content.  Two regimes show up immediately:
 
 import numpy as np
 
-from tpi.power import PowerConfig, run_power_with_shadow
+from tpi.power import run_power_with_shadow
 from tpi.rng import stream
 from tpi.tensors import (
     FactoredTensor3,
@@ -39,7 +39,6 @@ x0 = c0 * A[:, 0] + np.sqrt(1 - c0**2) * g / np.linalg.norm(g)
 
 raw = symmetrize(stream(seed, 6).standard_normal((d, d, d)))
 base_norm = np.sqrt(k) / d  # the scale the bulk of T itself lives at
-cfg = PowerConfig(max_iters=iters)
 
 print(f"d={d} k={k}, start correlation {c0}, noise unit sqrt(k)/d = "
       f"{base_norm:.3f}")
@@ -54,7 +53,7 @@ for boost, label in ((2.0, "convergent run (tracked weight 2.0)"),
     print("  ||E||/(sqrt(k)/d)   final corr    max xi_t")
     for factor in factors:
         E = scale_noise_to(raw, factor * base_norm, seed=0)
-        trace = run_power_with_shadow(PerturbedTensor(T, E), x0, cfg,
+        trace = run_power_with_shadow(PerturbedTensor(T, E), x0, max_iters=iters,
                                       target=A[:, 0])
         xi = np.asarray(trace.noise_norms)
         corr = abs(trace.target_correlations[-1])

@@ -4,7 +4,6 @@ distributional checks of the iteration's dynamics."""
 
 from ._version import __version__
 from .decompose import (
-    ClusterConfig,
     DecompositionResult,
     MatchReport,
     decompose,
@@ -36,7 +35,6 @@ from .models import (
 )
 from .power import (
     IterationTrace,
-    PowerConfig,
     default_max_iters,
     power_step,
     run_power,

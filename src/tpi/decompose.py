@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .power import PowerConfig, default_max_iters, power_step, run_power
+from .power import _iteration_budget, power_step, run_power
 from .tensors import contract_1, contract_scalar
 
 # A batch of at most this many predicted leaders refines the leader alone:
@@ -32,26 +32,13 @@ _NARROW_BATCH = 4
 
 
 @dataclass
-class ClusterConfig:
-    """Dedup parameter nu: each emission removes every survivor x with
-    |<x, emission>| > nu/2, and no two estimates overlap by more than nu/2."""
-
-    nu: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.nu <= 1.0):
-            raise InvalidArgumentError("nu must lie in (0, 1]")
-
-
-@dataclass
 class DecompositionResult:
     """Recovered components plus per-estimate bookkeeping.
 
     ``estimates`` is d x m with unit columns, pairwise |<xi, xj>| <= nu/2.
     ``weights`` is the cubic-form readout T(x, x, x) per estimate.
-    ``diagnostics`` carries per-estimate selection scores, the initial runs'
-    iteration counts, and the dropped-duplicate and non-monotone-refinement
-    counters.
+    ``diagnostics`` carries the per-estimate selection scores (each leader's
+    |T(x, x, x)| before refinement) and the count of dropped duplicates.
     """
 
     estimates: np.ndarray
@@ -64,32 +51,34 @@ class DecompositionResult:
         return self.estimates.shape[1]
 
 
-def decompose(tensor, inits, power_config=None, cluster_config=None):
+def decompose(tensor, inits, max_iters=None, nu=0.5):
     """Run the full multi-start + clustering pipeline.
 
     Parameters
     ----------
     tensor : any contractable tensor (factored, dense, perturbed, implicit)
     inits : sequence of unit vectors, length >= 1
-    power_config : PowerConfig; its max_iters is the budget of the initial
-        runs and of each refinement (default ``default_max_iters(d)``)
-    cluster_config : ClusterConfig (the separation threshold nu)
+    max_iters : the budget of the initial runs and of each refinement
+        (default ``default_max_iters(d)``)
+    nu : the separation threshold in (0, 1]: each emission removes every
+        survivor x with |<x, emission>| > nu/2, so no two estimates overlap
+        by more than nu/2
     """
+    if not (0.0 < nu <= 1.0):
+        raise InvalidArgumentError("nu must lie in (0, 1]")
     starts = np.asarray(inits, dtype=np.float64)
     if starts.size == 0:
         raise InvalidArgumentError("need at least one initialization")
     if starts.ndim != 2 or starts.shape[1] != tensor.dim:
         raise InvalidArgumentError(f"inits must be unit vectors of length {tensor.dim}")
-    n_iters = (power_config or PowerConfig()).max_iters or default_max_iters(tensor.dim)
-    trace = run_power(tensor, starts.T, PowerConfig(max_iters=n_iters))
-    X = trace.final_x
+    n_iters = _iteration_budget(max_iters, tensor.dim)
+    X = run_power(tensor, starts.T, n_iters).final_x
 
-    half_nu = (cluster_config or ClusterConfig()).nu / 2.0
+    half_nu = nu / 2.0
     alive = np.ones(len(starts), dtype=bool)
     estimates, weights, sizes = [], [], []
     sel_scores = []
     duplicates_dropped = 0
-    refine_monotone_violations = 0
 
     # |T(x, x, x)| of every pool member, from one block contraction
     scores = np.abs(_dots(X, contract_1(tensor, X, X)))
@@ -106,8 +95,6 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
             else:
                 refined[idx] = _refine(tensor, X[:, idx].copy(), n_iters)
         x, score = refined.pop(idx)
-        if abs(score) < scores[idx] - 1e-9:
-            refine_monotone_violations += 1
         if score < 0:
             x = -x
         # emission cluster: everything the refined estimate would collide with
@@ -130,9 +117,7 @@ def decompose(tensor, inits, power_config=None, cluster_config=None):
         cluster_sizes=np.array(sizes, dtype=int),
         diagnostics={
             "selection_scores": np.array(sel_scores),
-            "init_iterations": trace.iterations,
             "duplicates_dropped": duplicates_dropped,
-            "refine_monotone_violations": refine_monotone_violations,
         },
     )
 
@@ -167,8 +152,7 @@ def _dots(a, b):
     return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
 
 
-def learn_multiview(batch, mode, power_config=None, cluster_config=None, model=None,
-                    max_inits=None):
+def learn_multiview(batch, mode, max_iters=None, nu=0.5, model=None, max_inits=None):
     """End-to-end learning from a multiview batch.
 
     Initializations are the normalized view-1 samples (all of them, or the
@@ -178,7 +162,8 @@ def learn_multiview(batch, mode, power_config=None, cluster_config=None, model=N
     * "implicit-samples" — contract directly against the samples, O(dn) per
       step, without the d^3 moment.
 
-    Labels in the batch are never read here.
+    ``max_iters`` and ``nu`` are ``decompose``'s.  Labels in the batch are
+    never read here.
     """
     from .models import SampleTensor3, population_third_moment
 
@@ -200,7 +185,7 @@ def learn_multiview(batch, mode, power_config=None, cluster_config=None, model=N
     if np.any(norms < 1e-300):
         raise InvalidArgumentError("zero sample cannot initialize")
     inits = (Z1[:, :m] / norms).T
-    return decompose(tensor, inits, power_config, cluster_config)
+    return decompose(tensor, inits, max_iters, nu)
 
 
 @dataclass

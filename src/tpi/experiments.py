@@ -19,12 +19,12 @@ import math
 import os
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._version import __version__
-from .decompose import ClusterConfig, decompose, learn_multiview, match_and_score
+from .decompose import decompose, learn_multiview, match_and_score
 from .errors import InvalidArgumentError
 from .models import (
     MixtureModel,
@@ -34,7 +34,7 @@ from .models import (
     sample_multiview,
     snr,
 )
-from .power import PowerConfig, run_power, run_power_with_shadow
+from .power import run_power, run_power_with_shadow
 from .probes import (
     check_conditioning_lemma,
     check_fresh_randomness,
@@ -180,17 +180,9 @@ def _validate(raw):
 
 @dataclass
 class ExperimentConfig:
-    """A validated, normalized experiment description.
-
-    The power and cluster blocks are built here, so ``PowerConfig`` and
-    ``ClusterConfig`` run their own checks before any seed does.
-    """
+    """A validated, normalized experiment description."""
 
     data: dict
-
-    def __post_init__(self):
-        self._power = PowerConfig(**self.data.get("power", {}))
-        self._cluster = ClusterConfig(**self.data.get("cluster", {}))
 
     @property
     def kind(self):
@@ -218,12 +210,6 @@ class ExperimentConfig:
     @property
     def config_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    def power_config(self, **overrides):
-        return replace(self._power, **overrides)
-
-    def cluster_config(self):
-        return self._cluster
 
 
 def _read_json(path, what):
@@ -405,12 +391,12 @@ def _dynamics_seed(config, seed_value, factor):
     tensor = FactoredTensor3(comps, np.ones(k))
     lo, hi = cfg["init_correlation"]
     x0, c0 = _tuned_init(comps[:, 0], stream(seed_value, 601), lo, hi)
-    pcfg = config.power_config(max_iters=cfg.get("power", {}).get("max_iters", 15))
+    max_iters = cfg.get("power", {}).get("max_iters", 15)
     if factor:
         noisy = PerturbedTensor(tensor, _noise_tensor(d, factor * math.sqrt(k) / d, seed_value))
-        trace = run_power_with_shadow(noisy, x0, pcfg, target=comps[:, 0])
+        trace = run_power_with_shadow(noisy, x0, max_iters, target=comps[:, 0])
     else:
-        trace = run_power(tensor, x0, pcfg, target=comps[:, 0])
+        trace = run_power(tensor, x0, max_iters, target=comps[:, 0])
     acc = cfg.get("accept", {})
     metrics = {
         "seed": seed_value,
@@ -539,6 +525,12 @@ def _match_metrics(result, truth, acc):
     }
 
 
+def _decompose_options(cfg):
+    """The ``max_iters`` and ``nu`` keywords of ``decompose`` that a
+    decomposing config sets in its power and cluster blocks."""
+    return {**cfg.get("power", {}), **cfg.get("cluster", {})}
+
+
 def _recovery_seed_tensor(config, seed_value):
     cfg = config.data
     tensor = _component_tensor(cfg, seed_value)
@@ -547,7 +539,7 @@ def _recovery_seed_tensor(config, seed_value):
         inits = _unit_starts(rng, tensor.dim, tensor.rank, tensor.components, cfg["init_noise"])
     else:
         inits = _unit_starts(rng, tensor.dim, cfg["inits"])
-    result = decompose(tensor, inits, config.power_config(), config.cluster_config())
+    result = decompose(tensor, inits, **_decompose_options(cfg))
     report, metrics = _match_metrics(result, tensor, cfg.get("accept", {}))
     errs = [abs(result.weights[i] - tensor.weights[j])
             for i, j in enumerate(report.permutation) if j >= 0]
@@ -566,8 +558,8 @@ def _recovery_seed_multiview(config, seed_value):
     batch = sample_multiview(model, cfg["n"], seed=seed_value)
     m_inits = min(cfg["inits"], batch.n)
     coverage = len(set(batch.labels[:m_inits].tolist())) if batch.labels is not None else -1
-    result = learn_multiview(batch, cfg["tensor_mode"], config.power_config(),
-                             config.cluster_config(), model=model, max_inits=m_inits)
+    result = learn_multiview(batch, cfg["tensor_mode"], model=model, max_inits=m_inits,
+                             **_decompose_options(cfg))
     report, metrics = _match_metrics(result, truth, cfg.get("accept", {}))
     snr_rep = snr(batch, model)
     metrics.update({
@@ -637,10 +629,10 @@ def _sample_complexity_seed(config, seed_value):
         comp = cfg["compare_decomposition"]
         inits = _unit_starts(stream(seed_value, 620), cfg["d"],
                              comp.get("inits", 3 * cfg["k"]))
-        pcfg, ccfg = config.power_config(), config.cluster_config()
-        res_exact = decompose(exact, inits, pcfg, ccfg)
+        options = _decompose_options(cfg)
+        res_exact = decompose(exact, inits, **options)
         big = sample_multiview(model, comp["n"], seed=seed_value)
-        res_emp = decompose(SampleTensor3(big), inits, pcfg, ccfg)
+        res_emp = decompose(SampleTensor3(big), inits, **options)
         frob_exact = match_and_score(res_exact.estimates, truth).frobenius_error
         frob_emp = match_and_score(res_emp.estimates, truth).frobenius_error
         metrics["decomposition_frobenius_exact"] = float(frob_exact)
@@ -739,10 +731,12 @@ def _run_probe(config, threads):
 # the kinds
 
 
-# Only the PowerConfig and ClusterConfig fields a kind's runs read; in a
-# dynamics run an absent max_iters means 15 steps.
-_MAX_ITERS = _either(INT, _type("null", lambda v: v is None))
-_DECOMPOSE = {"power": {"max_iters": _MAX_ITERS}, "cluster": {"nu": NUM}}
+# The power and cluster fields a kind's runs read: decompose's max_iters
+# (null or absent: its default budget) and nu.  In a dynamics run an absent
+# max_iters means 15 steps.
+_MAX_ITERS = _either(COUNT, _type("null", lambda v: v is None))
+_NU = _type("a number in (0, 1]", lambda v: NUM.ok(v) and 0 < v <= 1)
+_DECOMPOSE = {"power": {"max_iters": _MAX_ITERS}, "cluster": {"nu": _NU}}
 _RECOVERY_ACCEPT = dict(require_components=INT, min_correlation=NUM, recovered_fraction=NUM,
                         correlation_threshold=NUM, frobenius_factor=NUM)
 _DYNAMICS = {

@@ -19,7 +19,6 @@ correlations, not assumed.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +35,13 @@ def default_max_iters(d):
     return int(math.ceil(4.0 * math.log2(math.log2(dd)))) + 10
 
 
-@dataclass
-class PowerConfig:
-    """The iteration budget of a power run: max_iters of None resolves to
-    ``default_max_iters(d)`` at run time."""
-
-    max_iters: int | None = None
-
-    def __post_init__(self):
-        if self.max_iters is not None and self.max_iters < 1:
-            raise InvalidArgumentError("max_iters must be >= 1")
+def _iteration_budget(max_iters, d):
+    """``max_iters``, or ``default_max_iters(d)`` for None; below 1 raises."""
+    if max_iters is None:
+        return default_max_iters(d)
+    if max_iters < 1:
+        raise InvalidArgumentError("max_iters must be >= 1")
+    return max_iters
 
 
 class IterationTrace:
@@ -129,12 +125,13 @@ def power_step(tensor, x):
     return _normalize(contract_1(tensor, x, x), "T(I, x, x)")
 
 
-def run_power(tensor, x0, config=None, target=None):
+def run_power(tensor, x0, max_iters=None, target=None):
     """Iterate power updates from x0, recording a trace.
 
     Stops early when |<x, target>| reaches 0.95 (given a unit
     ``target``), or when successive iterates agree up to sign (a fixed
-    point).  Always runs at most ``max_iters`` updates.
+    point).  Always runs at most ``max_iters`` updates (default
+    ``default_max_iters(d)``).
 
     A d x m block x0 runs m starts at once: each step is one block
     contraction over the columns still moving, and each column stops on its
@@ -144,12 +141,11 @@ def run_power(tensor, x0, config=None, target=None):
     block steps plus one, and ``trace.stop_reason`` is "fixed-point" only
     when every column reached one.  A block takes no target.
     """
-    config = config or PowerConfig()
     x = _check_unit(x0).copy()
     block = x.ndim == 2
     if target is not None and (block or np.shape(target) != x.shape):
         raise InvalidArgumentError("a target is one vector as long as the start; blocks take none")
-    n_iters = config.max_iters or default_max_iters(tensor.dim)
+    n_iters = _iteration_budget(max_iters, tensor.dim)
     stop = 1.0 - _GAMMA
 
     trace = IterationTrace()
@@ -184,7 +180,7 @@ def run_power(tensor, x0, config=None, target=None):
     return trace
 
 
-def run_power_with_shadow(perturbed, x0, config=None, target=None):
+def run_power_with_shadow(perturbed, x0, max_iters=None, target=None):
     """Noisy power iteration with an exact-tensor shadow decomposition.
 
     Runs ``run_power`` on T + E from one start, then recomputes the split
@@ -206,7 +202,7 @@ def run_power_with_shadow(perturbed, x0, config=None, target=None):
     """
     if not isinstance(perturbed, PerturbedTensor) or np.ndim(x0) != 1:
         raise InvalidArgumentError("run_power_with_shadow needs a PerturbedTensor and one start")
-    trace = run_power(perturbed, x0, config, target)
+    trace = run_power(perturbed, x0, max_iters, target)
     shadow = trace.xs[0]
     for t in range(1, len(trace.xs)):
         shadow = contract_1(perturbed.signal, shadow, shadow) / trace.unnormalized_norms[t]

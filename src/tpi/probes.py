@@ -60,6 +60,20 @@ def _cap(values):
     return vals
 
 
+def _band_test(dev, se):
+    """Compare deviations from a closed form with their standard errors.
+
+    Returns the max |dev/se| over the entries with se > 1e-15, and whether
+    it is within ``_SE_BAND`` while every other |dev| is within
+    ``_ORTH_TOL``.  ``se`` broadcasts against ``dev``.
+    """
+    se = np.broadcast_to(se, dev.shape)
+    live = se > 1e-15
+    max_z = float(np.max(np.abs(dev[live] / se[live]), initial=0.0))
+    dead_ok = bool(np.all(np.abs(dev[~live]) <= _ORTH_TOL))
+    return max_z, max_z <= _SE_BAND and dead_ok
+
+
 # ---------------------------------------------------------------------------
 # dictionary max-correlation norm & quadratic progress predicate
 
@@ -254,49 +268,30 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None):
     p_perp = np.eye(k) - np.outer(v, v) / vnorm2
     closed_cov = sigma2 * p_perp
 
-    sizes = _block_sizes(trials)
-
-    def one_block(i):
-        rng = stream(seed, 401, i)
-        samp = chain.sample(rng, sizes[i])
+    s1 = s2 = 0
+    orths, raw_dev = [], []
+    for i, size in enumerate(_block_sizes(trials)):
+        samp = chain.sample(stream(seed, 401, i), size)
         resid = samp - closed_mean
-        s1 = samp.sum(axis=0)
         rows = resid.reshape(-1, k)
-        s2 = rows.T @ rows
-        cons = samp @ v - u
-        orth = float(np.max(np.abs(cons)))
-        dev_f = np.linalg.norm(resid.reshape(len(samp), -1), axis=1)
-        return s1, s2, orth, dev_f
-
-    parts = [one_block(i) for i in range(len(sizes))]
-    mean_emp = sum(p[0] for p in parts) / trials
-    cov_emp = sum(p[1] for p in parts) / (trials * d)
-    orth_res = max(p[2] for p in parts)
-    raw_dev = np.concatenate([p[3] for p in parts])
+        s1 = s1 + samp.sum(axis=0)
+        s2 = s2 + rows.T @ rows
+        orths.append(float(np.max(np.abs(samp @ v - u))))
+        raw_dev.extend(np.linalg.norm(resid.reshape(size, -1), axis=1).tolist())
+    mean_emp = s1 / trials
+    cov_emp = s2 / (trials * d)
+    orth_res = max(orths)
 
     # mean: per-entry sd of the conditioned matrix is sigma2 * P_perp[jj]
     dev = mean_emp - closed_mean
     entry_var = sigma2 * np.diag(p_perp)
-    se = np.sqrt(np.maximum(entry_var, 0.0) / trials)
-    zs = np.zeros_like(dev)
-    tiny = se < 1e-15
-    zs[:, ~tiny] = dev[:, ~tiny] / se[None, ~tiny]
-    mean_ok = bool(np.max(np.abs(zs)) <= _SE_BAND)
-    if tiny.any():
-        mean_ok = mean_ok and bool(np.max(np.abs(dev[:, tiny])) <= _ORTH_TOL)
+    mean_max_z, mean_ok = _band_test(dev, np.sqrt(np.maximum(entry_var, 0.0) / trials))
 
     # covariance: pooled over rows; SE of a Gaussian cross-moment estimate
     n_rows = trials * d
-    cov_dev = cov_emp - closed_cov
     cov_se = np.sqrt((np.outer(np.diag(closed_cov), np.diag(closed_cov))
                       + closed_cov ** 2) / n_rows)
-    covz = np.zeros_like(cov_dev)
-    ok_entries = cov_se > 1e-15
-    covz[ok_entries] = cov_dev[ok_entries] / cov_se[ok_entries]
-    cov_tiny_ok = bool(np.max(np.abs(cov_dev[~ok_entries])) <= _ORTH_TOL) \
-        if (~ok_entries).any() else True
-    cov_max_z = float(np.max(np.abs(covz)))
-    cov_ok = bool(cov_max_z <= _SE_BAND and cov_tiny_ok)
+    cov_max_z, cov_ok = _band_test(cov_emp - closed_cov, cov_se)
 
     orth_ok = bool(orth_res <= max(_ORTH_TOL, 1e-12 * np.abs(u).max()))
     passed = mean_ok and cov_ok and orth_ok
@@ -304,7 +299,7 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None):
         kind="single-constraint",
         sample_count=trials, d=d, k=k, sigma2=float(sigma2), chain_length=1,
         se_band=_SE_BAND,
-        mean_max_z=float(np.max(np.abs(zs))),
+        mean_max_z=mean_max_z,
         mean_max_abs_dev=float(np.max(np.abs(dev))),
         mean_ok=mean_ok,
         cov_max_z=cov_max_z,
@@ -324,7 +319,7 @@ def check_conditioning_lemma(d, k, sigma2, trials, seed, u=None, v=None):
             if k * k <= _RAW_CAP else None,
             "empirical_row_cov": cov_emp.ravel().tolist()
             if k * k <= _RAW_CAP else None,
-            "per_trial_mean_dev_frob": _cap(raw_dev.tolist()),
+            "per_trial_mean_dev_frob": _cap(raw_dev),
             "thresholds": {"se_band": _SE_BAND, "orthogonality": _ORTH_TOL},
         },
     )
@@ -371,12 +366,12 @@ def check_iterative_conditioning(d, k, chain_length, trials, seed, sigma2=1.0):
     cmat = np.column_stack(chain.col_basis) if chain.col_basis else None
     rmat = np.column_stack(chain.row_basis) if chain.row_basis else None
     closed_mean = chain.mean
-    sizes = _block_sizes(trials)
     n_free = qc.shape[1] * qr_.shape[1]
 
-    def one_block(i):
-        rng = stream(seed, 411, i)
-        samp = chain.sample(rng, sizes[i])
+    s1 = s2 = pooled_sq = 0
+    orths, raw_dev = [], []
+    for i, size in enumerate(_block_sizes(trials)):
+        samp = chain.sample(stream(seed, 411, i), size)
         resid = samp - closed_mean
         orth = 0.0
         if cmat is not None:
@@ -384,32 +379,22 @@ def check_iterative_conditioning(d, k, chain_length, trials, seed, sigma2=1.0):
                 np.tensordot(resid, cmat, axes=([1], [0]))))))
         if rmat is not None:
             orth = max(orth, float(np.max(np.abs(resid @ rmat))))
-        s1 = resid.sum(axis=0)
-        free = (qc.T @ resid) @ qr_  # batched: (a,d)@(n,d,k)@(k,b) -> (n,a,b)
-        s2 = (free ** 2).sum(axis=0)
-        pooled_sq = float((free ** 2).sum())
-        dev_f = np.linalg.norm(resid.reshape(len(samp), -1), axis=1)
-        return s1, s2, pooled_sq, orth, dev_f
-
-    parts = [one_block(i) for i in range(len(sizes))]
-    mean_emp = sum(p[0] for p in parts) / trials
-    var_pos = sum(p[1] for p in parts) / trials
-    pooled_var = sum(p[2] for p in parts) / (trials * n_free)
-    orth_res = max(p[3] for p in parts)
-    raw_dev = np.concatenate([p[4] for p in parts])
+        orths.append(orth)
+        s1 = s1 + resid.sum(axis=0)
+        free_sq = ((qc.T @ resid) @ qr_) ** 2  # batched: (a,d)@(n,d,k)@(k,b) -> (n,a,b)
+        s2 = s2 + free_sq.sum(axis=0)
+        pooled_sq = pooled_sq + float(free_sq.sum())
+        raw_dev.extend(np.linalg.norm(resid.reshape(size, -1), axis=1).tolist())
+    mean_emp = s1 / trials
+    var_pos = s2 / trials
+    pooled_var = pooled_sq / (trials * n_free)
+    orth_res = max(orths)
 
     # residual mean: per-entry variance sigma2 * Pc[ii] * Pr[jj]
     pc_diag = np.einsum("ia,ia->i", qc, qc)
     pr_diag = np.einsum("jb,jb->j", qr_, qr_)
     entry_sd = np.sqrt(sigma2 * np.outer(pc_diag, pr_diag))
-    se = entry_sd / math.sqrt(trials)
-    zs = np.zeros_like(mean_emp)
-    live = se > 1e-15
-    zs[live] = mean_emp[live] / se[live]
-    mean_max_z = float(np.max(np.abs(zs)))
-    dead_ok = bool(np.max(np.abs(mean_emp[~live])) <= _ORTH_TOL) \
-        if (~live).any() else True
-    mean_ok = bool(mean_max_z <= _SE_BAND and dead_ok)
+    mean_max_z, mean_ok = _band_test(mean_emp, entry_sd / math.sqrt(trials))
 
     # variance per free position and pooled
     var_se_pos = sigma2 * math.sqrt(2.0 / trials)
@@ -442,7 +427,7 @@ def check_iterative_conditioning(d, k, chain_length, trials, seed, sigma2=1.0):
             "n_free_directions": int(n_free),
             "constrained_columns": len(chain.col_basis),
             "constrained_rows": len(chain.row_basis),
-            "per_trial_mean_dev_frob": _cap(raw_dev.tolist()),
+            "per_trial_mean_dev_frob": _cap(raw_dev),
             "thresholds": {"se_band": _SE_BAND, "orthogonality": _ORTH_TOL,
                            "var_ratio_band": [0.9, 1.1]},
         },
@@ -480,14 +465,11 @@ def check_fresh_randomness(d, k, t, trials, seed):
     regime_ok = t <= regime_limit
 
     bound = (k - t) / (40.0 * math.sqrt(k))
-    sizes = _block_sizes(trials, block=128)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def one_block(i):
+    ratios = {kind: [] for kind in _SHIFT_KINDS}
+    w_norms = []
+    for i, size in enumerate(_block_sizes(trials, block=128)):
         rng = stream(seed, 420, i)
-        ratios = {kind: [] for kind in _SHIFT_KINDS}
-        w_norms = []
-        for j in range(sizes[i]):
+        for _ in range(size):
             if t > 0:
                 q_r = np.linalg.qr(rng.standard_normal((k, t)))[0]
                 q_rp = np.linalg.qr(rng.standard_normal((k, t)))[0]
@@ -510,15 +492,6 @@ def check_fresh_randomness(d, k, t, trials, seed):
                     w = w - q_rp @ (q_rp.T @ w)
                 ratios[kind].append(float(np.linalg.norm(w)) / bound)
             w_norms.append(float(np.linalg.norm((z) ** 2)))
-        return ratios, w_norms
-
-    parts = [one_block(i) for i in range(len(sizes))]
-    ratios = {kind: [] for kind in _SHIFT_KINDS}
-    w_norms = []
-    for block_ratios, block_w in parts:
-        for kind in _SHIFT_KINDS:
-            ratios[kind].extend(block_ratios[kind])
-        w_norms.extend(block_w)
     pass_rates = {kind: float(np.mean(np.asarray(vals) >= 1.0))
                   for kind, vals in ratios.items()}
     min_ratios = {kind: float(np.min(vals)) for kind, vals in ratios.items()}
@@ -562,12 +535,10 @@ def check_mixed_norm_bound(d, k, trials, seed):
         raise InvalidArgumentError("this bound targets the k > d regime")
     if trials < 1:
         raise InvalidArgumentError("need at least one trial")
-    sizes = _block_sizes(trials, block=64)
-
-    def one_block(i):
+    rows = []
+    for i, size in enumerate(_block_sizes(trials, block=64)):
         rng = stream(seed, 441, i)
-        out = []
-        for _ in range(sizes[i]):
+        for _ in range(size):
             a = rng.standard_normal((d, k)) / math.sqrt(d)
             b = a[:, 1:]
             g = rng.standard_normal(d)
@@ -582,10 +553,7 @@ def check_mixed_norm_bound(d, k, trials, seed):
             v_al = a2 / np.linalg.norm(a2)
             m = b @ ((b.T @ u_al) * (b.T @ v_al))
             cos = float(m @ a2 / (np.linalg.norm(m) * np.linalg.norm(a2)))
-            out.append((float(val), float(tiny_val), cos))
-        return out
-
-    rows = [row for i in range(len(sizes)) for row in one_block(i)]
+            rows.append((float(val), float(tiny_val), cos))
     scale = math.sqrt(k / d)
     ratios = np.array([r[0] for r in rows]) / scale
     tiny_ratios = np.array([r[1] for r in rows]) / scale

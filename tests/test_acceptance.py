@@ -16,7 +16,6 @@ import pytest
 
 from tpi.decompose import decompose
 from tpi.experiments import load_config, run_experiment
-from tpi.power import PowerConfig
 from tpi.probes import star_norm
 from tpi.rng import stream
 from tpi.tensors import FactoredTensor3, contract_1, densify, random_components
@@ -214,8 +213,7 @@ def test_criterion_09_property_suites():
         truth = FactoredTensor3(basis[:, :kk], rng.uniform(1.0, 2.0, size=kk))
         inits = truth.components + 0.2 * stream(911, i).standard_normal((d, kk))
         inits /= np.linalg.norm(inits, axis=0)
-        result = decompose(truth, inits.T,
-                           power_config=PowerConfig(max_iters=40))
+        result = decompose(truth, inits.T, max_iters=40)
         est = result.estimates
         gram = np.abs(est.T @ est) - np.eye(est.shape[1])
         assert float(np.max(gram)) < 0.25, f"instance {i}"

@@ -278,6 +278,14 @@ _POOLED = {"schema": 1, "kind": "sample-complexity", "d": 6, "k": 8, "zeta": 0.0
     # no decomposition runs without compare_decomposition
     pytest.param(dict(_POOLED, power={"max_iters": 3}), id="pooled-power-without-decomposition"),
     pytest.param(dict(_POOLED, cluster={"nu": 0.9}), id="pooled-cluster-without-decomposition"),
+    # decompose runs at least one step and separates at nu in (0, 1]
+    pytest.param(dict(_TENSOR, power={"max_iters": 0}), id="recovery-max-iters-zero"),
+    pytest.param(dict(_TENSOR, power={"max_iters": -2}), id="recovery-max-iters-negative"),
+    pytest.param(dict(_TENSOR, cluster={"nu": 0}), id="recovery-nu-zero"),
+    pytest.param(dict(_TENSOR, cluster={"nu": 1.5}), id="recovery-nu-above-one"),
+    pytest.param(dict(_TENSOR, cluster={"nu": -0.5}), id="recovery-nu-negative"),
+    pytest.param(dict(_POOLED, compare_decomposition={"n": 500}, cluster={"nu": 1.5}),
+                 id="pooled-decomposition-nu-above-one"),
     # an absent max_iters means 15 steps, so null would be a second default
     pytest.param(dict(_BASE, power={"max_iters": None}), id="dynamics-max-iters-null"),
     pytest.param(dict(_BASE, kind="noise-sweep", noise_norm_factors=[0.1],

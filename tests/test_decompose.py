@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from tpi.decompose import (
-    ClusterConfig,
     _optimal_assign,
     decompose,
     learn_multiview,
@@ -13,7 +12,7 @@ from tpi.decompose import (
 )
 from tpi.errors import InvalidArgumentError
 from tpi.models import MixtureModel, sample_multiview
-from tpi.power import PowerConfig, power_step, run_power
+from tpi.power import power_step, run_power
 from tpi.rng import stream
 from tpi.tensors import FactoredTensor3, contract_1, contract_scalar, random_components
 
@@ -36,7 +35,7 @@ def test_orthogonal_recovery_small():
     A = orthonormal(d, d, 60)
     lam = np.linspace(1.0, 2.0, d)
     T = FactoredTensor3(A, lam)
-    res = decompose(T, column_noise_inits(A, 0.2, 60), PowerConfig(max_iters=40))
+    res = decompose(T, column_noise_inits(A, 0.2, 60), max_iters=40)
     assert res.n_components == d
     rep = match_and_score(res.estimates, T)
     assert np.min(rep.per_component_correlations) >= 1 - 1e-8
@@ -49,7 +48,7 @@ def test_estimates_have_unit_columns_and_separation():
     T = FactoredTensor3(A, np.ones(30))
     rng = stream(61, 52)
     inits = [x / np.linalg.norm(x) for x in rng.standard_normal((40, 12))]
-    res = decompose(T, inits, PowerConfig(max_iters=15), ClusterConfig(nu=0.5))
+    res = decompose(T, inits, max_iters=15, nu=0.5)
     E = res.estimates
     assert np.max(np.abs(np.linalg.norm(E, axis=0) - 1.0)) < 1e-10
     if E.shape[1] > 1:
@@ -64,7 +63,7 @@ def sequential_decompose(tensor, inits, n_iters, nu=0.5):
     """Reference emission loop: one leader at a time, refined as a vector.
 
     Returns (estimates, weights, cluster sizes, selection scores)."""
-    X = run_power(tensor, np.asarray(inits).T, PowerConfig(max_iters=n_iters)).final_x
+    X = run_power(tensor, np.asarray(inits).T, n_iters).final_x
     scores = np.abs(np.einsum("ij,ij->j", X, contract_1(tensor, X, X)))
     alive = np.ones(X.shape[1], dtype=bool)
     estimates, weights, sizes, selected = [], [], [], []
@@ -118,7 +117,7 @@ def narrow_case():
 
 def test_blocked_refinement_matches_sequential_loop():
     T, inits = wide_case()
-    res = decompose(T, inits, PowerConfig(max_iters=8))
+    res = decompose(T, inits, max_iters=8)
     E, w, sizes, selected = sequential_decompose(T, inits, 8)
     assert res.n_components == E.shape[1] == 20
     assert res.cluster_sizes.tolist() == sizes
@@ -130,7 +129,7 @@ def test_blocked_refinement_matches_sequential_loop():
 def test_narrow_batches_refine_as_the_sequential_loop_bitwise(monkeypatch):
     T, inits = narrow_case()
     steps = count_refine_steps(monkeypatch)
-    res = decompose(T, inits, PowerConfig(max_iters=8))
+    res = decompose(T, inits, max_iters=8)
     E, w, sizes, selected = sequential_decompose(T, inits, 8)
     assert set(steps) == {(10,)}  # every refine step was a vector step
     assert np.array_equal(res.estimates, E)
@@ -142,7 +141,7 @@ def test_narrow_batches_refine_as_the_sequential_loop_bitwise(monkeypatch):
 def test_predicted_leaders_refine_in_one_block(monkeypatch):
     T, inits = wide_case()
     steps = count_refine_steps(monkeypatch)
-    res = decompose(T, inits, PowerConfig(max_iters=8))
+    res = decompose(T, inits, max_iters=8)
     assert res.n_components == 20
     assert steps == [(30, 20)] * 8
 
@@ -151,6 +150,17 @@ def test_empty_inits_rejected():
     A = random_components(5, 5, seed=62)
     with pytest.raises(InvalidArgumentError):
         decompose(FactoredTensor3(A, np.ones(5)), [])
+
+
+@pytest.mark.parametrize("nu", [0, 1.5, -0.5, float("nan")])
+def test_separation_outside_unit_interval_rejected(nu):
+    A = random_components(5, 3, seed=62)
+    model = MixtureModel(A, np.full(3, 1 / 3), noise_scale=0.1)
+    batch = sample_multiview(model, 20, seed=62)
+    with pytest.raises(InvalidArgumentError):
+        decompose(FactoredTensor3(A, np.ones(3)), A.T, nu=nu)
+    with pytest.raises(InvalidArgumentError):
+        learn_multiview(batch, "implicit-samples", nu=nu)
 
 
 def test_match_and_score_permutation_and_signs():
@@ -233,8 +243,8 @@ def test_learn_multiview_exact_tensor_cohort():
         A = random_components(d, k, seed=seed)
         model = MixtureModel(A, np.full(k, 1.0 / k), noise_scale=0.02)
         batch = sample_multiview(model, 2000, seed=seed)
-        res = learn_multiview(batch, "exact-tensor", PowerConfig(max_iters=12),
-                              ClusterConfig(), model=model, max_inits=300)
+        res = learn_multiview(batch, "exact-tensor", max_iters=12, model=model,
+                              max_inits=300)
         rep = match_and_score(res.estimates, FactoredTensor3(A, np.ones(k)))
         meds.append(float(np.median(rep.per_component_correlations)))
     assert np.median(meds) >= 0.75
@@ -248,9 +258,8 @@ def test_learn_multiview_modes_agree_noiselessly():
     A = orthonormal(d, k, 70)
     model = MixtureModel(A, np.full(k, 1.0 / k), noise_scale=0.0)
     batch = sample_multiview(model, 1200, seed=70)
-    cfg = PowerConfig(max_iters=25)
     for mode in ("exact-tensor", "implicit-samples"):
-        res = learn_multiview(batch, mode, cfg, ClusterConfig(), model=model, max_inits=80)
+        res = learn_multiview(batch, mode, max_iters=25, model=model, max_inits=80)
         rep = match_and_score(res.estimates, FactoredTensor3(A, np.ones(k)))
         assert rep.matched_pairs == k, mode
         assert np.min(rep.per_component_correlations) > 1 - 1e-10, mode
@@ -283,8 +292,7 @@ def test_labels_never_consulted():
     model = MixtureModel(A, np.full(k, 0.2), noise_scale=0.05)
     batch = sample_multiview(model, 200, seed=72)
     stripped = type(batch)([V.copy() for V in batch.views])
-    cfg = PowerConfig(max_iters=10)
-    r1 = learn_multiview(batch, "implicit-samples", cfg, max_inits=50)
-    r2 = learn_multiview(stripped, "implicit-samples", cfg, max_inits=50)
+    r1 = learn_multiview(batch, "implicit-samples", max_iters=10, max_inits=50)
+    r2 = learn_multiview(stripped, "implicit-samples", max_iters=10, max_inits=50)
     assert np.array_equal(r1.estimates, r2.estimates)
     assert np.array_equal(r1.weights, r2.weights)

@@ -6,7 +6,6 @@ import pytest
 
 from tpi.errors import DegenerateIterateError, InvalidArgumentError
 from tpi.power import (
-    PowerConfig,
     default_max_iters,
     power_step,
     run_power,
@@ -62,9 +61,20 @@ def test_power_step_requires_unit_iterate():
     with pytest.raises(InvalidArgumentError):
         power_step(T, nan)
     with pytest.raises(InvalidArgumentError):
-        run_power(T, nan, PowerConfig(max_iters=3))
+        run_power(T, nan, max_iters=3)
     with pytest.raises(InvalidArgumentError):
-        run_power(T, np.column_stack([A[:, 0], nan]), PowerConfig(max_iters=3))
+        run_power(T, np.column_stack([A[:, 0], nan]), max_iters=3)
+
+
+def test_runs_refuse_a_budget_below_one():
+    A = random_components(5, 5, seed=2)
+    T = FactoredTensor3(A, np.ones(5))
+    P = PerturbedTensor(T, densify(FactoredTensor3(A[:, :1], np.array([0.01]))))
+    for max_iters in (0, -2):
+        with pytest.raises(InvalidArgumentError):
+            run_power(T, A[:, 0], max_iters=max_iters)
+        with pytest.raises(InvalidArgumentError):
+            run_power_with_shadow(P, A[:, 0], max_iters=max_iters)
 
 
 def test_degenerate_contraction_raises():
@@ -94,7 +104,7 @@ def test_orthogonal_convergence_from_warm_start():
         x0 = A[:, j] + 0.3 * rng.standard_normal(d)
         x0 /= np.linalg.norm(x0)
         # no target: a target would stop the run at correlation 0.95
-        trace = run_power(T, x0, PowerConfig(max_iters=40))
+        trace = run_power(T, x0, max_iters=40)
         assert abs(A[:, j] @ trace.final_x) >= 1 - 1e-8
 
 
@@ -108,7 +118,7 @@ def test_orthogonal_unequal_weights_reach_some_component():
     for j in range(d):
         x0 = A[:, j] + 0.3 * rng.standard_normal(d)
         x0 /= np.linalg.norm(x0)
-        trace = run_power(T, x0, PowerConfig(max_iters=60))
+        trace = run_power(T, x0, max_iters=60)
         assert np.max(np.abs(A.T @ trace.final_x)) >= 1 - 1e-8
 
 
@@ -116,8 +126,7 @@ def test_trace_shape_and_stop_reasons():
     A = orthonormal(6, 6, 4)
     T = FactoredTensor3(A, np.ones(6))
     x0 = A[:, 0]
-    cfg = PowerConfig(max_iters=5)
-    trace = run_power(T, x0, cfg, target=A[:, 0])
+    trace = run_power(T, x0, max_iters=5, target=A[:, 0])
     # starting exactly on a component: stop at step 0
     assert trace.stop_reason == "target-correlation"
     assert len(trace) == 1
@@ -126,7 +135,7 @@ def test_trace_shape_and_stop_reasons():
     rng = stream(4, 53)
     x0 = rng.standard_normal(6)
     x0 /= np.linalg.norm(x0)
-    trace = run_power(T, x0, PowerConfig(max_iters=3))
+    trace = run_power(T, x0, max_iters=3)
     assert trace.stop_reason in ("max-iters", "fixed-point")
     assert len(trace) <= 4  # init + 3 updates
     assert trace.final_x is not None
@@ -144,10 +153,10 @@ def test_block_run_matches_per_column_runs():
         starts.append(A[:, j] + noise * rng.standard_normal(d))
     starts += [rng.standard_normal(d) for _ in range(2)]
     X0 = np.column_stack([x / np.linalg.norm(x) for x in starts])
-    cfg = PowerConfig(max_iters=4)
+    n_iters = 4
 
-    block = run_power(T, X0, cfg)
-    singles = [run_power(T, X0[:, j], cfg) for j in range(X0.shape[1])]
+    block = run_power(T, X0, n_iters)
+    singles = [run_power(T, X0[:, j], n_iters) for j in range(X0.shape[1])]
     assert list(block.iterations) == [len(t) - 1 for t in singles]
     assert block.stop_reasons == [t.stop_reason for t in singles]
     assert len(set(block.iterations)) >= 3
@@ -157,7 +166,7 @@ def test_block_run_matches_per_column_runs():
     for j, t in enumerate(singles):
         assert np.max(np.abs(block.final_x[:, j] - t.final_x)) < 1e-12
 
-    converged = run_power(T, X0[:, :3], cfg)
+    converged = run_power(T, X0[:, :3], n_iters)
     assert converged.stop_reason == "fixed-point"
     assert np.array_equal(converged.final_x, block.final_x[:, :3])
 
@@ -165,15 +174,15 @@ def test_block_run_matches_per_column_runs():
 def test_block_run_checks_its_columns():
     A = orthonormal(4, 4, 7)
     T = FactoredTensor3(A, np.ones(4))
-    cfg = PowerConfig(max_iters=3)
+    n_iters = 3
     with pytest.raises(InvalidArgumentError):
-        run_power(T, np.column_stack([A[:, 0], 2.0 * A[:, 1]]), cfg)
+        run_power(T, np.column_stack([A[:, 0], 2.0 * A[:, 1]]), n_iters)
     # odd tensor: T(I, x, x) = 0 at x = e_2 when the single component is e_1
     a = np.zeros(4)
     a[0] = 1.0
     odd = FactoredTensor3(a[:, None], np.ones(1))
     with pytest.raises(DegenerateIterateError):
-        run_power(odd, np.eye(4)[:, :2], cfg)
+        run_power(odd, np.eye(4)[:, :2], n_iters)
 
 
 def test_block_run_refuses_a_target():
@@ -181,22 +190,21 @@ def test_block_run_refuses_a_target():
     # a vector run takes one target of its own length
     A = orthonormal(4, 4, 7)
     T = FactoredTensor3(A, np.ones(4))
-    cfg = PowerConfig(max_iters=3)
+    n_iters = 3
     with pytest.raises(InvalidArgumentError):
-        run_power(T, A[:, :2], cfg, target=A[:, 0])
+        run_power(T, A[:, :2], n_iters, target=A[:, 0])
     with pytest.raises(InvalidArgumentError):
-        run_power(T, A[:, 0], cfg, target=A[:3, 0])
+        run_power(T, A[:, 0], n_iters, target=A[:3, 0])
     P = PerturbedTensor(T, symmetrize(np.zeros((4, 4, 4))))
     with pytest.raises(InvalidArgumentError):
-        run_power_with_shadow(P, A[:, :2], cfg)
+        run_power_with_shadow(P, A[:, :2], n_iters)
 
 
 def test_full_trace_records_iterates():
     A = random_components(7, 11, seed=5)
     T = FactoredTensor3(A, np.ones(11))
     x0 = A[:, 0]
-    cfg = PowerConfig(max_iters=4)
-    trace = run_power(T, x0, cfg)
+    trace = run_power(T, x0, max_iters=4)
     assert len(trace.xs) == len(trace) == len(trace.unnormalized_norms)
     assert np.array_equal(trace.xs[0], x0) and np.array_equal(trace.xs[-1], trace.final_x)
     assert np.all(np.isnan(trace.correlations)) and not np.any(trace.noise_norms)
@@ -208,9 +216,9 @@ def test_shadow_with_zero_noise_matches_clean_run():
     zero = symmetrize(np.zeros((12, 12, 12)))
     P = PerturbedTensor(T, zero)
     x0 = A[:, 0]
-    cfg = PowerConfig(max_iters=6)
-    clean = run_power(T, x0, cfg, target=A[:, 0])
-    noisy = run_power_with_shadow(P, x0, cfg, target=A[:, 0])
+    n_iters = 6
+    clean = run_power(T, x0, n_iters, target=A[:, 0])
+    noisy = run_power_with_shadow(P, x0, n_iters, target=A[:, 0])
     assert np.array_equal(clean.final_x, noisy.final_x)
     assert np.max(noisy.noise_norms) == 0.0
 
@@ -225,7 +233,7 @@ def test_shadow_noise_norm_small_for_small_noise():
     P = PerturbedTensor(T, noise)
     x0 = A[:, 0] + 0.2 * stream(9, 55).standard_normal(d)
     x0 /= np.linalg.norm(x0)
-    trace = run_power_with_shadow(P, x0, PowerConfig(max_iters=3))
+    trace = run_power_with_shadow(P, x0, max_iters=3)
     assert trace.noise_norms[0] == 0.0
     assert np.max(trace.noise_norms) < 0.01
 
@@ -242,7 +250,7 @@ def test_shadow_split_matches_plain_recursion_at_nonzero_noise():
     P = PerturbedTensor(T, noise)
     x0 = A[:, 0] + 0.5 * stream(10, 55).standard_normal(d)
     x0 /= np.linalg.norm(x0)
-    trace = run_power_with_shadow(P, x0, PowerConfig(max_iters=8))
+    trace = run_power_with_shadow(P, x0, max_iters=8)
 
     Eflat = noise.entries.reshape(d * d, d)
     Td = densify(T).entries + noise.entries
