@@ -44,14 +44,14 @@ from .probes import (
     quadratic_progress_ok,
 )
 from .rng import map_in_order as _map_seeds, stream
-# symmetrize and scale_noise_to are not called here (_noise_tensor runs the
-# same orbit average and scaling in its own buffer); they stay importable from
-# this module because perfbench's tracer looks them up on it
+# symmetrize and scale_noise_to are not called here (_noise_tensor draws one
+# normal per index orbit and scales in its own buffer); they stay importable
+# from this module because perfbench's tracer looks them up on it
 from .tensors import (
     DenseTensor3,
     FactoredTensor3,
     PerturbedTensor,
-    _average_orbits,
+    _symmetric_normal,
     densify,
     random_components,
     scale_noise_to,
@@ -299,6 +299,14 @@ def _fmt_cell(value):
     return str(value)
 
 
+def _csv_field(text):
+    """``text`` as one CSV field: in double quotes, with its quotes doubled,
+    when it holds a comma, a quote or a line break (a JSON list does)."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_lines(path, lines):
     with open(path, "w", newline="\n") as fh:
         for line in lines:
@@ -372,11 +380,12 @@ def _noise_tensor(d, target_norm, seed):
     """Symmetrized Gaussian d^3 noise scaled to a spectral-norm estimate of
     ``target_norm``, built in one d^3 buffer.
 
-    The draw is averaged over its index orbits, estimated and scaled in
-    place; the result equals ``scale_noise_to(symmetrize(draw), ...)`` bit
-    for bit.
+    One normal per index orbit of ``stream(seed, 603)`` (see
+    ``tensors._symmetric_normal``) gives the law of ``symmetrize`` of a d^3
+    draw; the array is estimated and scaled in place, as
+    ``scale_noise_to(..., seed=seed, restarts=4, iters=12)`` would.
     """
-    out = _average_orbits(stream(seed, 602).standard_normal((d, d, d)))
+    out = _symmetric_normal(d, stream(seed, 603))
     # estimate on a read-only view, so the buffer itself stays writable
     current = spectral_norm_estimate(DenseTensor3(out.view()), restarts=4, iters=12, seed=seed)
     out *= target_norm / current
@@ -778,7 +787,11 @@ _KINDS = {
     )),
     "dynamics": _Kind(_DYNAMICS, _run_dynamics, _DYNAMICS_RULES),
     "noise-sweep": _Kind({**_DYNAMICS, "noise_norm_factors": (_list_of(NONNEG), _REQUIRED)},
-                         _run_dynamics, _DYNAMICS_RULES),
+                         _run_dynamics, _DYNAMICS_RULES + (
+        # a repeated factor would run every seed twice and write its rows twice
+        (lambda cfg: len(set(cfg["noise_norm_factors"])) == len(cfg["noise_norm_factors"]),
+         "noise_norm_factors must not repeat a value"),
+    )),
     "sample-complexity": _Kind({
         **_DK, "zeta": (NONNEG, _REQUIRED),
         "sample_sizes": (_list_of(_type("an integer >= 2", lambda v: INT.ok(v) and v >= 2)),
@@ -874,7 +887,7 @@ def render_report(report, fmt="csv"):
             for key in sorted(value):
                 emit(f"{prefix}.{key}" if prefix else str(key), value[key])
         elif isinstance(value, (list, tuple)):
-            lines.append(f"{prefix},{json.dumps(value)}")
+            lines.append(f"{prefix},{_csv_field(json.dumps(value))}")
         else:
             # report.json stores NaN and +-inf as null
             lines.append(f"{prefix},{_fmt_cell(float('nan') if value is None else value)}")

@@ -213,14 +213,55 @@ def _average_orbits(E):
     for i in range(d):
         m = d - i
         s, u = s_buf[:m * m].reshape(m, m), u_buf[:m * m].reshape(m, m)
-        a, b, c = E[i, i:, i:], E[i:, i, i:], E[i:, i:, i]
-        np.add(a, b, out=s)
-        s += c
+        np.add(E[i, i:, i:], E[i:, i, i:], out=s)
+        s += E[i:, i:, i]
         np.add(s, s.T, out=u)
         u /= 6.0
-        a[...] = u
-        b[...] = u
-        c[...] = u
+        _write_orbits(E, i, u)
+    return E
+
+
+def _write_orbits(E, i, u):
+    """Write the symmetric m x m plane ``u`` (m = d - i) to every entry of E
+    whose smallest index is i: entry (j, l) of ``u`` goes to each permutation
+    of (i, i+j, i+l), through the plane E[i, i:, i:] and the slices
+    E[i:, i, i:] and E[i:, i:, i]."""
+    E[i, i:, i:] = u
+    E[i:, i, i:] = u
+    E[i:, i:, i] = u
+
+
+def _symmetric_normal(d, rng):
+    """A d x d x d array with the law of ``symmetrize`` of an i.i.d. N(0, 1)
+    draw, from one normal per index orbit.
+
+    The average of an orbit's entries is N(0, 1/|orbit|), with |orbit| 1, 3
+    or 6 as the sorted index (i, j, l) has three, two or no distinct values
+    (i = j = l; two equal; all distinct), and distinct orbits are
+    independent.  So each orbit takes one ``rng.standard_normal`` value
+    times 1/sqrt(|orbit|): d(d+1)(d+2)/6 normals instead of d^3.
+
+    Draw order: the orbits in lexicographic order of their sorted index
+    i <= j <= l, drawn one i at a time (the upper triangle of the plane of
+    i, row by row).  The plane is mirrored, scaled and written to all six
+    permutations by ``_write_orbits``, so the array is exactly symmetric.
+    """
+    E = np.empty((d, d, d))
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    # 1/sqrt(|orbit|) of (i, i+j, i+l), the same for every i
+    scale = np.full((d, d), 1.0 / np.sqrt(6.0))
+    scale[0, :] = scale[:, 0] = 1.0 / np.sqrt(3.0)
+    np.fill_diagonal(scale, 1.0 / np.sqrt(3.0))
+    scale[0, 0] = 1.0
+    z_buf, u_buf = np.empty(d * (d + 1) // 2), np.empty(d * d)
+    for i in range(d):
+        m = d - i
+        z, u = z_buf[:m * (m + 1) // 2], u_buf[:m * m].reshape(m, m)
+        rng.standard_normal(out=z)
+        u[upper[:m, :m]] = z
+        u.T[upper[:m, :m]] = z
+        u *= scale[:m, :m]
+        _write_orbits(E, i, u)
     return E
 
 

@@ -296,6 +296,9 @@ _POOLED = {"schema": 1, "kind": "sample-complexity", "d": 6, "k": 8, "zeta": 0.0
                  id="min-correlation-nan"),
     pytest.param(dict(_BASE, kind="noise-sweep", noise_norm_factors=[float("inf")]),
                  id="noise-factor-infinity"),
+    # a repeated factor ran every seed twice and wrote each table.csv row twice
+    pytest.param(dict(_BASE, kind="noise-sweep", noise_norm_factors=[0.1, 0.1]),
+                 id="noise-factors-repeated"),
     # numpy's seed streams take non-negative integers only
     pytest.param(dict(_BASE, seeds={"base": -3}), id="seeds-base-negative"),
     # the generate kind and its subcommand were removed

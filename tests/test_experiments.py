@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -15,7 +18,7 @@ from tpi.experiments import (
     run_experiment,
 )
 from tpi.rng import stream
-from tpi.tensors import scale_noise_to, symmetrize
+from tpi.tensors import DenseTensor3, _symmetric_normal, scale_noise_to, symmetrize
 
 DYN = {
     "schema": 1,
@@ -152,6 +155,18 @@ def test_render_report_formats(tmp_path):
         render_report(stored, "xml")
 
 
+def test_render_report_quotes_list_cells_by_csv_rules(tmp_path):
+    checks = [{"check": "conditioning", "d": 6, "k": 8, "sigma2": 1.0, "trials": 100},
+              {"check": "iterative-conditioning", "d": 6, "k": 8, "chain_length": 2,
+               "trials": 100, "sigma2": 1.0}]
+    out = str(tmp_path / "probe")
+    run_experiment(load_config({"schema": 1, "kind": "probe", "checks": checks}, out=out))
+    _, stored = load_run(out)
+    rows = list(csv.reader(io.StringIO(render_report(stored, "csv"))))
+    assert all(len(row) == 2 for row in rows[1:])
+    assert ["checks", '["conditioning", "iterative-conditioning"]'] in rows
+
+
 def test_recovery_kind_end_to_end(tmp_path):
     cfg = {
         "schema": 1, "kind": "recovery", "out": str(tmp_path / "rec"),
@@ -232,16 +247,57 @@ def test_report_json_is_strict_and_renders_null_as_nan(tmp_path):
     assert "frobenius_error.iqr,nan\n" in render_report(stored, "csv")
 
 
+def _orbit_loop_oracle(d, seed):
+    """The noise before its scaling, one orbit at a time: the normals of
+    ``stream(seed, 603)`` as one draw, taken in lexicographic order of the
+    sorted index i <= j <= l, times 1/sqrt(|orbit|) at all six permutations."""
+    draw = iter(stream(seed, 603).standard_normal(d * (d + 1) * (d + 2) // 6))
+    E = np.empty((d, d, d))
+    for i in range(d):
+        for j in range(i, d):
+            for l in range(j, d):
+                value = next(draw) * (1.0 / math.sqrt({1: 1, 2: 3, 3: 6}[len({i, j, l})]))
+                E[i, j, l] = E[i, l, j] = E[j, i, l] = E[j, l, i] = E[l, i, j] = E[l, j, i] = value
+    assert next(draw, None) is None
+    return E
+
+
 @pytest.mark.parametrize("d", [100, 9, 1])
-def test_noise_tensor_matches_symmetrize_of_the_one_shot_draw(d):
+def test_noise_tensor_matches_the_orbit_loop_oracle(d):
     seed, target = 7, 0.02 * np.sqrt(3 * d) / d
     built = experiments._noise_tensor(d, target, seed)
-    raw = stream(seed, 602).standard_normal((d, d, d))
-    oracle = scale_noise_to(symmetrize(raw), target, seed=seed, restarts=4, iters=12).entries
+    raw = DenseTensor3(_orbit_loop_oracle(d, seed))
+    oracle = scale_noise_to(raw, target, seed=seed, restarts=4, iters=12).entries
     assert not built.entries.flags.writeable
     assert np.array_equal(built.entries, oracle)
     for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
         assert np.array_equal(built.entries, built.entries.transpose(perm))
+
+
+def test_orbit_draw_has_the_class_variances_of_symmetrize():
+    # one entry per orbit (i <= j <= l), split by orbit class: i = j = l,
+    # two indices equal, all distinct.  An entry of symmetrize(G) averages
+    # 1, 3 or 6 independent N(0, 1) values, so its variance is 1, 1/3 or 1/6
+    d, seeds = 8, 400
+    I, J, L = np.indices((d, d, d))
+    sorted_index = (I <= J) & (J <= L)
+    distinct = 1 + (I != J) + (J != L)
+    classes = [sorted_index & (distinct == c) for c in (1, 2, 3)]
+    sq = {"orbit": np.zeros(3), "symmetrize": np.zeros(3)}
+    for seed in range(seeds):
+        for name, E in (("orbit", _symmetric_normal(d, stream(seed, 603))),
+                        ("symmetrize", symmetrize(stream(seed, 60).standard_normal((d, d, d)))
+                         .entries)):
+            sq[name] += [np.sum(E[c] ** 2) for c in classes]
+    # n entries of N(0, s^2) give a mean square of relative standard error
+    # sqrt(2/n); n = 3,200, 22,400 and 22,400 here, so 5 standard errors are
+    # 0.125, 0.047 and 0.047.  Without the per-class scaling the last two
+    # classes would read 3 and 6 times their variance
+    n = np.array([np.count_nonzero(c) for c in classes]) * seeds
+    band = 5 * np.sqrt(2 / n)
+    expected = np.array([1, 1 / 3, 1 / 6])
+    for name, total in sq.items():
+        assert np.all(np.abs(total / n / expected - 1) <= band), (name, total / n)
 
 
 def test_noise_tensor_holds_one_d_cubed_buffer():
@@ -253,8 +309,9 @@ def test_noise_tensor_holds_one_d_cubed_buffer():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the draw itself and the orbit pass's two d^2 buffers
-    assert peak <= d ** 3 * 8 + 2 * d * d * 8 + 2 ** 20
+    # the d^3 array, the two d^2 plane buffers (the plane and the orbit-size
+    # scales) and the largest per-plane draw, d(d+1)/2 normals
+    assert peak <= d ** 3 * 8 + 2 * d * d * 8 + d * (d + 1) // 2 * 8 + 2 ** 20
 
 
 # config_hash of every frozen config: a schema change that inserts or drops a
