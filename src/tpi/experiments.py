@@ -45,13 +45,14 @@ from .probes import (
 )
 from .rng import map_in_order as _map_seeds, stream
 # symmetrize and scale_noise_to are not called here (_noise_tensor draws one
-# normal per index orbit and scales in its own buffer); they stay importable
-# from this module because perfbench's tracer looks them up on it
+# normal per index orbit into the packed pair rows and scales them in place);
+# they stay importable from this module because perfbench's tracer looks them
+# up on it
 from .tensors import (
-    DenseTensor3,
     FactoredTensor3,
+    PackedSymmetricTensor3,
     PerturbedTensor,
-    _symmetric_normal,
+    _symmetric_normal_rows,
     densify,
     random_components,
     scale_noise_to,
@@ -378,18 +379,19 @@ def _tuned_init(a1, rng, lo, hi):
 
 def _noise_tensor(d, target_norm, seed):
     """Symmetrized Gaussian d^3 noise scaled to a spectral-norm estimate of
-    ``target_norm``, built in one d^3 buffer.
+    ``target_norm``, held once per unordered index pair.
 
     One normal per index orbit of ``stream(seed, 603)`` (see
-    ``tensors._symmetric_normal``) gives the law of ``symmetrize`` of a d^3
-    draw; the array is estimated and scaled in place, as
+    ``tensors._symmetric_normal_rows``) gives the law of ``symmetrize`` of a
+    d^3 draw; the rows are estimated and scaled in place, as
     ``scale_noise_to(..., seed=seed, restarts=4, iters=12)`` would.
     """
-    out = _symmetric_normal(d, stream(seed, 603))
-    # estimate on a read-only view, so the buffer itself stays writable
-    current = spectral_norm_estimate(DenseTensor3(out.view()), restarts=4, iters=12, seed=seed)
-    out *= target_norm / current
-    return DenseTensor3(out)
+    rows = _symmetric_normal_rows(d, stream(seed, 603))
+    # estimate on a read-only view, so the rows themselves stay writable
+    current = spectral_norm_estimate(PackedSymmetricTensor3(rows.view()), restarts=4, iters=12,
+                                     seed=seed)
+    rows *= target_norm / current
+    return PackedSymmetricTensor3(rows)
 
 
 def _dynamics_seed(config, seed_value, factor):

@@ -6,7 +6,9 @@ Two representations are used throughout:
   ``T = sum_j w_j a_j (x) a_j (x) a_j`` with unit-norm columns.  All hot-path
   contractions run in O(dk) against this form.
 * ``DenseTensor3`` — an explicit ``d**3`` array, used as a brute-force oracle
-  at small d and to carry arbitrary perturbations.
+  at small d and to carry arbitrary perturbations.  Its subclass
+  ``PackedSymmetricTensor3`` holds an exactly symmetric tensor once per
+  unordered index pair, in half the bytes.
 
 The mode-1 contraction ``T(I, v, w)`` is the workhorse: for the factored form
 
@@ -124,6 +126,62 @@ class DenseTensor3:
         return f"DenseTensor3(d={self.dim})"
 
 
+def _pair_row_count(d):
+    """Rows of the packed layout: d(d+1)/2 pairs, padded to ``_BLOCK_ALIGN``."""
+    return -(-d * (d + 1) // 2 // _BLOCK_ALIGN) * _BLOCK_ALIGN
+
+
+class PackedSymmetricTensor3(DenseTensor3):
+    """An exactly symmetric d x d x d tensor held once per unordered index pair.
+
+    Row p of ``rows`` is E[a, b, :] for the p-th pair a <= b in lexicographic
+    order, p = a*d - a*(a+1)/2 + b: the rows a <= b of the d^2 x d mode-1
+    unfolding, zero-padded to a multiple of ``_BLOCK_ALIGN`` rows so that
+    the BLAS thread split of ``rows @ w`` falls on whole row groups.  The
+    d x d table ``pair`` maps (a, b) and (b, a) to that row.
+
+    ``entries`` unpacks a read-only d^3 copy, for oracles and for
+    ``scale_noise_to``; the contractions read only the rows.
+    """
+
+    def __init__(self, rows):
+        R = np.ascontiguousarray(rows, dtype=np.float64)
+        if R.ndim != 2 or R.shape[1] < 1 or R.shape[0] != _pair_row_count(R.shape[1]):
+            raise InvalidArgumentError(
+                f"rows must be a d(d+1)/2 x d array padded to {_BLOCK_ALIGN} rows, "
+                f"got shape {R.shape}")
+        self.rows = R
+        self.rows.flags.writeable = False
+        d = R.shape[1]
+        a = np.arange(d)
+        self.pair = (a * d - a * (a + 1) // 2)[np.minimum.outer(a, a)] + np.maximum.outer(a, a)
+
+    @property
+    def dim(self):
+        return self.rows.shape[1]
+
+    @property
+    def entries(self):
+        E = np.take(self.rows, self.pair, axis=0)
+        E.flags.writeable = False
+        return E
+
+    def contract_1(self, v, w):
+        # row (a, b) of rows @ w sums the same d terms in the same order as
+        # row (a, b) of the full unfolding does, and E[a, b] = E[b, a] bit
+        # for bit, so the gather is DenseTensor3's d x d intermediate
+        if v.ndim == 1:
+            return np.take(self.rows @ w, self.pair) @ v
+        G = np.take(self.rows @ w, self.pair, axis=0)
+        out = np.zeros(v.shape)
+        for j in range(self.dim):
+            out += G[:, j] * v[j]
+        return out
+
+    def __repr__(self):
+        return f"PackedSymmetricTensor3(d={self.dim})"
+
+
 class PerturbedTensor:
     """A factored signal plus an arbitrary dense perturbation of the same dim."""
 
@@ -217,23 +275,15 @@ def _average_orbits(E):
         s += E[i:, i:, i]
         np.add(s, s.T, out=u)
         u /= 6.0
-        _write_orbits(E, i, u)
+        E[i, i:, i:] = u
+        E[i:, i, i:] = u
+        E[i:, i:, i] = u
     return E
 
 
-def _write_orbits(E, i, u):
-    """Write the symmetric m x m plane ``u`` (m = d - i) to every entry of E
-    whose smallest index is i: entry (j, l) of ``u`` goes to each permutation
-    of (i, i+j, i+l), through the plane E[i, i:, i:] and the slices
-    E[i:, i, i:] and E[i:, i:, i]."""
-    E[i, i:, i:] = u
-    E[i:, i, i:] = u
-    E[i:, i:, i] = u
-
-
-def _symmetric_normal(d, rng):
-    """A d x d x d array with the law of ``symmetrize`` of an i.i.d. N(0, 1)
-    draw, from one normal per index orbit.
+def _symmetric_normal_rows(d, rng):
+    """The ``PackedSymmetricTensor3`` rows of a tensor with the law of
+    ``symmetrize`` of an i.i.d. N(0, 1) draw, from one normal per index orbit.
 
     The average of an orbit's entries is N(0, 1/|orbit|), with |orbit| 1, 3
     or 6 as the sorted index (i, j, l) has three, two or no distinct values
@@ -242,27 +292,39 @@ def _symmetric_normal(d, rng):
     times 1/sqrt(|orbit|): d(d+1)(d+2)/6 normals instead of d^3.
 
     Draw order: the orbits in lexicographic order of their sorted index
-    i <= j <= l, drawn one i at a time (the upper triangle of the plane of
-    i, row by row).  The plane is mirrored, scaled and written to all six
-    permutations by ``_write_orbits``, so the array is exactly symmetric.
+    i <= j <= l, drawn one i at a time (the upper triangle z of the m x m
+    plane of i, m = d - i, row by row).  Mirrored, the plane is the rows
+    (i, i..d-1) at the columns i..d-1; the triangle past its first row is
+    column i of every later row (a, b), i < a <= b, in the same order.
+    Every other entry of a row has a smaller index, so an earlier plane
+    wrote it.
     """
-    E = np.empty((d, d, d))
-    upper = np.triu(np.ones((d, d), dtype=bool))
-    # 1/sqrt(|orbit|) of (i, i+j, i+l), the same for every i
-    scale = np.full((d, d), 1.0 / np.sqrt(6.0))
-    scale[0, :] = scale[:, 0] = 1.0 / np.sqrt(3.0)
-    np.fill_diagonal(scale, 1.0 / np.sqrt(3.0))
-    scale[0, 0] = 1.0
-    z_buf, u_buf = np.empty(d * (d + 1) // 2), np.empty(d * d)
+    n = d * (d + 1) // 2
+    rows = np.zeros((_pair_row_count(d), d))
+    # entry (r, c) of the plane of i is z[back[i + r, i + c]]: counted from
+    # its end, a packed upper triangle is laid out the same for every m
+    t = np.arange(d)[::-1]
+    hi, lo = np.maximum.outer(t, t), np.minimum.outer(t, t)
+    back = -(hi * (hi + 1) // 2 + lo + 1)
+    # 1/sqrt(|orbit|) along z: its first row (i, i, i+l), then the rows past
+    # it, whose scales are the tail of the largest plane's, 1/sqrt(3) on the
+    # diagonal (i, j, j) at s(s+1)/2 from the end (s = d - j)
+    first = np.full(d, 1.0 / np.sqrt(3.0))
+    first[0] = 1.0
+    rest = np.full(n - d, 1.0 / np.sqrt(6.0))
+    rest[-(t[:-1] * (t[:-1] + 1) // 2)] = 1.0 / np.sqrt(3.0)
+    z_buf = np.empty(n)
+    p = 0
     for i in range(d):
         m = d - i
-        z, u = z_buf[:m * (m + 1) // 2], u_buf[:m * m].reshape(m, m)
+        z = z_buf[:m * (m + 1) // 2]
         rng.standard_normal(out=z)
-        u[upper[:m, :m]] = z
-        u.T[upper[:m, :m]] = z
-        u *= scale[:m, :m]
-        _write_orbits(E, i, u)
-    return E
+        z[:m] *= first[:m]
+        z[m:] *= rest[rest.size - (z.size - m):]
+        rows[p:p + m, i:] = z[back[i:, i:]]
+        rows[p + m:n, i] = z[m:]
+        p += m
+    return rows
 
 
 def symmetrize(entries):

@@ -7,7 +7,9 @@ The recovery run has accept5's shape (d=50, k=100, n=20000, implicit
 samples) on three seeds, so a pool of two workers splits it, and its long
 sample sums are where a BLAS library would split a reduction across its
 threads.  The noise sweep has accept4's shape (d=100, k=300) on four seeds;
-its dense d^3 noise is contracted one vector at a time.  The
+its noise, held once per unordered index pair, is contracted one vector at a
+time.  A second sweep at d=101, where the d^2 rows of a full unfolding do
+not split into whole row groups, runs at both BLAS thread counts too.  The
 sample-complexity run has accept6's shape with a smaller decomposition; its
 two workers contract their sample tensors concurrently.  The probes are
 accept8's, whose Monte Carlo sums are long matrix products.
@@ -44,6 +46,8 @@ NOISE = {
     "d": 100, "k": 300, "init_correlation": [0.3, 0.4],
     "noise_norm_factors": [0.02], "power": {"max_iters": 15},
 }
+
+NOISE_ODD = dict(NOISE, seeds={"count": 2, "base": 0}, d=101, k=303)
 
 
 def _artifacts(out):
@@ -108,6 +112,13 @@ def test_noise_sweep_artifacts_identical_across_blas_threads_and_workers(tmp_pat
         config = load_config(NOISE, out=str(tmp_path / f"w{threads}"))
         run_experiment(config, threads=threads)
         assert _artifacts(tmp_path / f"w{threads}") == (files, report)
+
+
+def test_noise_sweep_at_an_odd_dim_identical_across_blas_threads(tmp_path):
+    blas1, blas2 = _run_at_blas_threads(tmp_path, NOISE_ODD, "dynamics")
+    files, report = _artifacts(blas1)
+    assert len(report["per_seed"]) == 2
+    assert _artifacts(blas2) == (files, report)
 
 
 def test_conditioning_probe_report_identical_across_blas_threads(tmp_path):

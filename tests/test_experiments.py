@@ -18,7 +18,13 @@ from tpi.experiments import (
     run_experiment,
 )
 from tpi.rng import stream
-from tpi.tensors import DenseTensor3, _symmetric_normal, scale_noise_to, symmetrize
+from tpi.tensors import (
+    PackedSymmetricTensor3,
+    _pair_row_count,
+    _symmetric_normal_rows,
+    spectral_norm_estimate,
+    symmetrize,
+)
 
 DYN = {
     "schema": 1,
@@ -262,16 +268,27 @@ def _orbit_loop_oracle(d, seed):
     return E
 
 
+def _pair_rows_of(E):
+    """The rows a <= b of E's d^2 x d unfolding, zero-padded as the packed
+    layout holds them."""
+    d = E.shape[0]
+    rows = np.zeros((_pair_row_count(d), d))
+    rows[:d * (d + 1) // 2] = E[np.triu_indices(d)]
+    return rows
+
+
 @pytest.mark.parametrize("d", [100, 9, 1])
 def test_noise_tensor_matches_the_orbit_loop_oracle(d):
     seed, target = 7, 0.02 * np.sqrt(3 * d) / d
     built = experiments._noise_tensor(d, target, seed)
-    raw = DenseTensor3(_orbit_loop_oracle(d, seed))
-    oracle = scale_noise_to(raw, target, seed=seed, restarts=4, iters=12).entries
-    assert not built.entries.flags.writeable
-    assert np.array_equal(built.entries, oracle)
+    raw = _pair_rows_of(_orbit_loop_oracle(d, seed))
+    current = spectral_norm_estimate(PackedSymmetricTensor3(raw), restarts=4, iters=12, seed=seed)
+    assert isinstance(built, PackedSymmetricTensor3)
+    assert not built.rows.flags.writeable
+    assert np.array_equal(built.rows, raw * (target / current))
+    E = built.entries
     for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-        assert np.array_equal(built.entries, built.entries.transpose(perm))
+        assert np.array_equal(E, E.transpose(perm))
 
 
 def test_orbit_draw_has_the_class_variances_of_symmetrize():
@@ -279,16 +296,18 @@ def test_orbit_draw_has_the_class_variances_of_symmetrize():
     # two indices equal, all distinct.  An entry of symmetrize(G) averages
     # 1, 3 or 6 independent N(0, 1) values, so its variance is 1, 1/3 or 1/6
     d, seeds = 8, 400
-    I, J, L = np.indices((d, d, d))
-    sorted_index = (I <= J) & (J <= L)
+    n_pairs = d * (d + 1) // 2
+    I, J = np.triu_indices(d)
+    I, J, L = I[:, None], J[:, None], np.arange(d)[None, :]
+    sorted_index = J <= L
     distinct = 1 + (I != J) + (J != L)
     classes = [sorted_index & (distinct == c) for c in (1, 2, 3)]
     sq = {"orbit": np.zeros(3), "symmetrize": np.zeros(3)}
     for seed in range(seeds):
-        for name, E in (("orbit", _symmetric_normal(d, stream(seed, 603))),
-                        ("symmetrize", symmetrize(stream(seed, 60).standard_normal((d, d, d)))
-                         .entries)):
-            sq[name] += [np.sum(E[c] ** 2) for c in classes]
+        for name, rows in (("orbit", _symmetric_normal_rows(d, stream(seed, 603))[:n_pairs]),
+                           ("symmetrize", _pair_rows_of(symmetrize(
+                               stream(seed, 60).standard_normal((d, d, d))).entries)[:n_pairs])):
+            sq[name] += [np.sum(rows[c] ** 2) for c in classes]
     # n entries of N(0, s^2) give a mean square of relative standard error
     # sqrt(2/n); n = 3,200, 22,400 and 22,400 here, so 5 standard errors are
     # 0.125, 0.047 and 0.047.  Without the per-class scaling the last two
@@ -300,7 +319,7 @@ def test_orbit_draw_has_the_class_variances_of_symmetrize():
         assert np.all(np.abs(total / n / expected - 1) <= band), (name, total / n)
 
 
-def test_noise_tensor_holds_one_d_cubed_buffer():
+def test_noise_tensor_holds_its_pair_rows_once():
     d = 100
     experiments._noise_tensor(8, 0.01, 0)  # warm up lazy allocations
     tracemalloc.start()
@@ -309,9 +328,12 @@ def test_noise_tensor_holds_one_d_cubed_buffer():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the d^3 array, the two d^2 plane buffers (the plane and the orbit-size
-    # scales) and the largest per-plane draw, d(d+1)/2 normals
-    assert peak <= d ** 3 * 8 + 2 * d * d * 8 + d * (d + 1) // 2 * 8 + 2 ** 20
+    # the d(d+1)/2 pair rows rounded up to 32, four d x d tables (the
+    # build's two outer index arrays, its backward index table and one
+    # gathered plane), and the largest draw with its scales, d(d+1)/2
+    # values each: 5.5 MB at d = 100, where the d^3 array alone is 8 MB
+    n = d * (d + 1) // 2
+    assert peak <= -(-n // 32) * 32 * d * 8 + 4 * d * d * 8 + 2 * n * 8 + 2 ** 20
 
 
 # config_hash of every frozen config: a schema change that inserts or drops a

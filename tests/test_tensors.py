@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from tpi import rng as tpi_rng
 from tpi.errors import InvalidArgumentError, ResourceBudgetError
 from tpi.rng import stream
 from tpi.tensors import (
     DenseTensor3,
     FactoredTensor3,
+    PackedSymmetricTensor3,
     PerturbedTensor,
+    _symmetric_normal_rows,
     contract_1,
     contract_scalar,
     densify,
@@ -196,6 +199,7 @@ def _block_representations():
     model = MixtureModel(A, np.full(k, 1.0 / k), noise_scale=0.1)
     samples = SampleTensor3(sample_multiview(model, 2500, seed=24))
     return {"factored": sym, "dense": densify(sym),
+            "packed": PackedSymmetricTensor3(_symmetric_normal_rows(d, rng)),
             "perturbed": PerturbedTensor(sym, noise),
             "samples": samples}
 
@@ -239,6 +243,49 @@ def test_vector_contraction_keeps_its_formula():
     d = D.dim
     assert np.array_equal(contract_1(D, v, w),
                           (D.entries.reshape(d * d, d) @ w).reshape(d, d) @ v)
+
+
+def _unfolded_contraction(E, v, w):
+    d = E.shape[0]
+    return (E.reshape(d * d, d) @ w).reshape(d, d) @ v
+
+
+def test_packed_vector_contraction_is_the_unfolded_one_at_any_blas_thread_count():
+    # the pair rows sum each row of the unfolding as the full d^2 x d
+    # product does, and their padding keeps the BLAS thread split on whole
+    # row groups, so d = 100 gives the d^3 array's bytes at 1 and 2 threads
+    api = tpi_rng._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    get, set_ = api
+    d = 100
+    T = PackedSymmetricTensor3(_symmetric_normal_rows(d, stream(28, 1)))
+    E = T.entries
+    rng = stream(28, 2)
+    probes = [(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(4)]
+    before = get()
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            for v, w in probes:
+                assert np.array_equal(contract_1(T, v, w), _unfolded_contraction(E, v, w))
+    finally:
+        set_(before)
+
+
+@pytest.mark.parametrize("d", [1, 9, 31, 150])
+def test_packed_vector_contraction_agrees_with_the_unfolded_one(d):
+    T = PackedSymmetricTensor3(_symmetric_normal_rows(d, stream(29, d)))
+    assert T.dim == d and T.rows.shape == (-(-d * (d + 1) // 2 // 32) * 32, d)
+    rng = stream(29, d, 1)
+    v, w = rng.standard_normal(d), rng.standard_normal(d)
+    assert np.max(np.abs(contract_1(T, v, w) - _unfolded_contraction(T.entries, v, w))) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(45, 9), (96, 9), (9, 9, 9), (32, 0)])
+def test_packed_rows_must_be_the_padded_pair_count(shape):
+    with pytest.raises(InvalidArgumentError):
+        PackedSymmetricTensor3(np.zeros(shape))
 
 
 def test_block_probe_shapes_checked():
