@@ -6,9 +6,10 @@ estimates the components with the pipeline in its two tensor modes:
 
   exact-tensor      power iteration on the population moment (cheating
                     baseline: needs the model, shows the noiseless ceiling)
-  implicit-samples  the third cross-moment of the batch, never formed as a
-                    d^3 tensor; contracts against the sample triples
-                    directly, O(d*n) per step
+  implicit-samples  the third cross-moment of the batch: built once as a
+                    d^3 tensor when d^2 <= n (O(d^3) per step), else
+                    contracted against the sample triples directly,
+                    O(d*n) per step
 
 Initializations are the normalized view-1 samples themselves, which is the
 whole point: each sample leans toward the component that generated it, so

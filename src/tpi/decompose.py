@@ -159,7 +159,9 @@ def learn_multiview(batch, mode, max_iters=None, nu=0.5, model=None, max_inits=N
     first ``max_inits``).  ``mode`` picks the tensor representation:
 
     * "exact-tensor" — the population tensor from ``model`` (evaluation runs);
-    * "implicit-samples" — contract directly against the samples, O(dn) per
+    * "implicit-samples" — the cross-view sample moment as a
+      ``SampleTensor3``: built once as a d^3 tensor when d^2 <= n, so a step
+      costs O(d^3); otherwise contracted against the samples, O(dn) per
       step, without the d^3 moment.
 
     ``max_iters`` and ``nu`` are ``decompose``'s.  Labels in the batch are

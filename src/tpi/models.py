@@ -5,6 +5,9 @@ of the factor shared by all views, and each of three views observes
 z_l = a_h + eta_l with independent spherical Gaussian noise (per-entry std
 zeta).  The cross-view third moment E[z_1 (x) z_2 (x) z_3] equals
 sum_j priors_j a_j^{(x)3}, which is what the decomposition pipeline consumes.
+Its sample estimate (1/n) sum_i z1_i (x) z2_i (x) z3_i is ``SampleTensor3``:
+once d^2 <= n it is built as a d^3 moment on the first contraction, and
+below that every contraction sums over the samples.
 
 Spherical Gaussian mixture: z = a_h + sigma * g.  The raw third moment picks
 up sigma^2 cross terms; the modified moment subtracts them:
@@ -23,16 +26,21 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ResourceBudgetError
 from .rng import stream
-from .tensors import DENSE_DIM_LIMIT, DenseTensor3, FactoredTensor3, _as_unit_columns
+from .tensors import (
+    DENSE_DIM_LIMIT, DenseTensor3, FactoredTensor3, _as_unit_columns, _dense_rows,
+    _padded_rows)
 
-_CHUNK = 65536  # fixed accumulation chunk so summation order never varies
-# Sample chunk of SampleTensor3.contract_1.  It keeps each BLAS sum short:
-# OpenBLAS splits a 20000-sample vector product across its threads, so the
-# bytes depended on their count.
+# Sample chunk of a moment build: each chunk is one d^2 x c by c x d product.
+# At d = 50 its temporaries (2.3 MB) stay below the 3.7 MB of the 224-column
+# passes over the samples that the moment replaces.
+_MOMENT_CHUNK = 64
+# Sample chunk of a contraction over the samples.  It keeps each BLAS sum
+# short: OpenBLAS splits a 20000-sample vector product across its threads, so
+# the bytes depended on their count.
 _SAMPLE_CHUNK = 1024
-# SampleTensor3.contract_1 walks its chunks in groups whose temporaries hold
-# at most this many doubles (1 MB): a vector takes 128 chunks per group, a
-# 32-column block 4 and a block of more than 64 columns 1.
+# SampleTensor3._contract_samples walks its chunks in groups whose
+# temporaries hold at most this many doubles (1 MB): a vector takes 128
+# chunks per group, a 32-column block 4 and a block of more than 64 columns 1.
 _GROUP_DOUBLES = 1 << 17
 # Sample noise is drawn, and SNR residuals are formed, in slabs of at most this
 # many doubles (1 MB), so neither holds a second array the size of a view.
@@ -170,59 +178,106 @@ def _budget_check(d):
         raise ResourceBudgetError(f"dense moment at d={d} exceeds limit {DENSE_DIM_LIMIT}")
 
 
-def _sample_sum(Z1, Z2, Z3):
-    """sum_t z1_t (x) z2_t (x) z3_t over the columns of three d x n matrices,
-    accumulated over fixed ``_CHUNK``-sample chunks."""
+def _sample_moment(Z1, Z2, Z3):
+    """(1/n) sum_t z1_t (x) z2_t (x) z3_t over the columns of three d x n
+    matrices, as ``DenseTensor3`` rows (``tensors._dense_rows``): the
+    d^2 x d mode-1 unfolding, zero-padded to a multiple of ``_BLOCK_ALIGN``
+    rows.
+
+    The samples are summed in fixed chunks of ``_MOMENT_CHUNK``, in order.
+    A chunk is one product of its d^2 x c Khatri-Rao rows z1_i z2_j with the
+    transpose of Z3's chunk, written into the padded rows, so the result is
+    wrapped as a ``DenseTensor3`` without a copy.  The product keeps the
+    d^2 rows on the left: as Z3's chunk times the Khatri-Rao transpose, with
+    d output rows, its bytes depended on the BLAS thread count at d = 30
+    and 50.
+    """
     d, n = Z1.shape
-    acc = np.zeros((d,) * 3)
-    for lo in range(0, n, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n))
-        acc += np.einsum("it,jt,lt->ijl", Z1[:, sl], Z2[:, sl], Z3[:, sl])
+    acc, _ = _dense_rows(d)
+    kr = np.zeros((len(acc), _MOMENT_CHUNK))
+    product = np.empty(acc.shape)
+    for lo in range(0, n, _MOMENT_CHUNK):
+        s = slice(lo, min(lo + _MOMENT_CHUNK, n))
+        K = kr[:, : s.stop - lo]
+        np.multiply(Z1[:, None, s], Z2[None, :, s], out=K[: d * d].reshape(d, d, -1))
+        acc += np.matmul(K, Z3[:, s].T, out=product)
+    acc /= n
     return acc
 
 
 def empirical_third_moment(batch):
     """Cross-view average (1/n) sum_i z1 (x) z2 (x) z3 as a DenseTensor3."""
     _budget_check(batch.d)
-    acc = _sample_sum(*batch.views)
-    return DenseTensor3(acc / batch.n)
+    return DenseTensor3._from_rows(_sample_moment(*batch.views))
 
 
 class SampleTensor3:
-    """Implicit sample-sum tensor: contractions without materializing d**3.
+    """The cross-view sample moment T = (1/n) sum_i z1_i (x) z2_i (x) z3_i,
+    contracted one of two ways, chosen from its shape.
 
-    T(I, v, w) = (1/n) sum_i <z2_i, v> <z3_i, w> z1_i, computed in O(dn).
-    Satisfies the same contraction protocol the power engine uses, so the
-    overcomplete pipeline can run straight off samples.  The sum runs over
-    fixed chunks of ``_SAMPLE_CHUNK`` samples, for a vector pair and for a
-    d x m block pair alike.  The full chunks of each view are one strided
-    (n_chunks, d, chunk) view of it, so a group of chunks is one stacked
-    matmul per operand, made inside numpy without the GIL.  Each chunk is
-    still its own BLAS call with the shapes and leading dimensions of a plain
-    slice, and the chunk products are added in chunk order, so the bytes are
-    those of a per-chunk loop.
+    When d^2 <= n and d is within ``DENSE_DIM_LIMIT``, the first
+    contraction builds T with ``_sample_moment`` and every contraction runs
+    through it as a ``DenseTensor3``.  There T holds no more entries than one
+    view, and a contraction through it costs 2 d^3 m <= 2 d n m flops for m
+    columns, under a third of a pass over the samples (6 d n m); the build
+    pays for itself after about d^2 / 3 column passes.
+
+    Otherwise every contraction sums over the samples, without the d^3
+    moment: T(I, v, w) = (1/n) sum_i <z2_i, v> <z3_i, w> z1_i, in O(dn)
+    per column.  The sum runs over fixed chunks of ``_SAMPLE_CHUNK``
+    samples, for a vector pair and for a d x m block pair alike.  The full
+    chunks of each view are one strided (n_chunks, d, chunk) view of it, so
+    a group of chunks is one stacked matmul per operand, made inside numpy
+    without the GIL.  Each chunk is still its own BLAS call with the shapes
+    and leading dimensions of a plain slice, and the chunk products are
+    added in chunk order, so the bytes are those of a per-chunk loop.  The
+    last, short chunk is a copy zero-padded to a multiple of
+    ``_BLOCK_ALIGN`` samples: a ragged one gave block bytes that depended on
+    the BLAS thread count (at d = 50 with a 976-sample tail, for one).
+
+    Either way it satisfies the contraction protocol the power engine uses,
+    so the overcomplete pipeline can run straight off samples.
     """
 
     def __init__(self, batch):
-        views = batch.views
-        self._Z1 = views[0]
+        self._views = batch.views
+        self._Z1 = self._views[0]  # perfbench's flop count reads it
         self._n = n = batch.n
-        d, full = self.dim, n - n % _SAMPLE_CHUNK
-        # Each stack is three (chunks, d, samples) views: the full chunks,
-        # then the tail as a stack of one.
-        self._stacks = []
-        if full:
-            self._stacks.append(tuple(
-                Z[:, :full].reshape(d, full // _SAMPLE_CHUNK, _SAMPLE_CHUNK).transpose(1, 0, 2)
-                for Z in views))
-        if full < n:
-            self._stacks.append(tuple(Z[None, :, full:] for Z in views))
+        # the same budget as the other moment builders
+        self._summed = self.dim ** 2 > n or self.dim > DENSE_DIM_LIMIT
+        self._moment = self._stacks = None
 
     @property
     def dim(self):
         return self._Z1.shape[0]
 
     def contract_1(self, v, w):
+        if self._summed:
+            return self._contract_samples(v, w)
+        if self._moment is None:
+            self._moment = DenseTensor3._from_rows(_sample_moment(*self._views))
+        # the method itself: tensors.contract_1 has checked and padded v and w
+        return self._moment.contract_1(v, w)
+
+    def _chunk_stacks(self):
+        """Stacks of three (chunks, d, samples) arrays: the full chunks, as
+        views of the views, then the tail, as a padded stack of one."""
+        (d, n), full = self._Z1.shape, self._n - self._n % _SAMPLE_CHUNK
+        stacks = []
+        if full:
+            stacks.append(tuple(
+                Z[:, :full].reshape(d, full // _SAMPLE_CHUNK, _SAMPLE_CHUNK).transpose(1, 0, 2)
+                for Z in self._views))
+        if full < n:
+            tail = np.zeros((3, 1, d, _padded_rows(n - full)))
+            for t, Z in zip(tail, self._views):
+                t[0, :, : n - full] = Z[:, full:]
+            stacks.append(tuple(tail))
+        return stacks
+
+    def _contract_samples(self, v, w):
+        if self._stacks is None:
+            self._stacks = self._chunk_stacks()
         d = self.dim
         V = np.reshape(v, (d, -1))
         W = np.reshape(w, (d, -1))
@@ -264,9 +319,11 @@ def gmm_modified_moment(gmm, samples):
     Z = np.asarray(samples, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] != gmm.means.shape[0]:
         raise InvalidArgumentError("samples must be d x n with the model's d")
-    _budget_check(Z.shape[0])
-    raw = _sample_sum(Z, Z, Z) / Z.shape[1]
-    return DenseTensor3(raw - _sigma_correction(Z.mean(axis=1), gmm.sigma))
+    d = Z.shape[0]
+    _budget_check(d)
+    rows = _sample_moment(Z, Z, Z)
+    rows[: d * d] -= _sigma_correction(Z.mean(axis=1), gmm.sigma).reshape(d * d, d)
+    return DenseTensor3._from_rows(rows)
 
 
 def gmm_population_modified_moment(gmm):
@@ -284,7 +341,9 @@ def gmm_population_modified_moment(gmm):
     for j in range(lam.size):
         raw = raw + lam[j] * _sigma_correction(A[:, j], sig)
     mean_vec = A @ lam
-    return DenseTensor3(raw - _sigma_correction(mean_vec, sig))
+    rows, cube = _dense_rows(A.shape[0])
+    np.subtract(raw, _sigma_correction(mean_vec, sig), out=cube)
+    return DenseTensor3._from_rows(rows)
 
 
 @dataclass

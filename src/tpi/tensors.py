@@ -93,19 +93,54 @@ class FactoredTensor3:
         return f"FactoredTensor3(d={self.dim}, k={self.rank})"
 
 
+def _padded_rows(count):
+    """``count`` rounded up to a multiple of ``_BLOCK_ALIGN``."""
+    return -(-count // _BLOCK_ALIGN) * _BLOCK_ALIGN
+
+
+def _dense_rows(d):
+    """Zeroed ``DenseTensor3`` rows at dim d, and the (d, d, d) view of their
+    first d^2 rows, for a builder to write its tensor into."""
+    rows = np.zeros((_padded_rows(d * d), d))
+    return rows, rows[:d * d].reshape(d, d, d)
+
+
 class DenseTensor3:
-    """Explicit d x d x d tensor; entry (i, j, l) lives at offset i*d*d + j*d + l."""
+    """Explicit d x d x d tensor; entry (i, j, l) lives at offset i*d*d + j*d + l.
+
+    It is held as ``rows``, its d^2 x d mode-1 unfolding zero-padded to a
+    multiple of ``_BLOCK_ALIGN`` rows, so that the BLAS thread split of
+    ``rows @ w`` falls on whole row groups.  ``entries`` is a read-only
+    (d, d, d) view of its first d^2 rows.  The constructor copies a cube into
+    such rows; the builders in this package write into ``_dense_rows`` and
+    wrap them with ``_from_rows``, without a copy.
+    """
 
     def __init__(self, entries):
-        E = np.ascontiguousarray(entries, dtype=np.float64)
+        E = np.asarray(entries, dtype=np.float64)
         if E.ndim != 3 or len(set(E.shape)) != 1:
             raise InvalidArgumentError(f"entries must be a cubic 3-d array, got {E.shape}")
-        self.entries = E
-        self.entries.flags.writeable = False
+        rows, cube = _dense_rows(E.shape[0])
+        cube[...] = E
+        self.rows = rows
+        self.rows.flags.writeable = False
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """Hold rows from ``_dense_rows`` as the tensor, without a copy."""
+        tensor = cls.__new__(cls)
+        tensor.rows = rows
+        tensor.rows.flags.writeable = False
+        return tensor
 
     @property
     def dim(self):
-        return self.entries.shape[0]
+        return self.rows.shape[1]
+
+    @property
+    def entries(self):
+        d = self.dim
+        return self.rows[:d * d].reshape(d, d, d)
 
     def contract_1(self, v, w):
         d = self.dim
@@ -113,13 +148,14 @@ class DenseTensor3:
             # contract the last mode, then the middle one: two sums of length
             # d, whose bytes do not depend on the BLAS thread count, where
             # the unfolding times vec(v w^T) sums d^2 terms and does
-            return (self.entries.reshape(d * d, d) @ w).reshape(d, d) @ v
+            return (self.rows @ w)[:d * d].reshape(d, d) @ v
         # the d x d^2 unfolding times the Khatri-Rao block, summed slab by
         # slab in a fixed order: one d^2-long BLAS sum would round
         # differently for different BLAS thread counts
+        E = self.entries
         out = np.zeros(v.shape)
         for j in range(d):
-            out += self.entries[:, j, :] @ (v[j] * w)
+            out += E[:, j, :] @ (v[j] * w)
         return out
 
     def __repr__(self):
@@ -128,7 +164,7 @@ class DenseTensor3:
 
 def _pair_row_count(d):
     """Rows of the packed layout: d(d+1)/2 pairs, padded to ``_BLOCK_ALIGN``."""
-    return -(-d * (d + 1) // 2 // _BLOCK_ALIGN) * _BLOCK_ALIGN
+    return _padded_rows(d * (d + 1) // 2)
 
 
 class PackedSymmetricTensor3(DenseTensor3):
@@ -155,10 +191,6 @@ class PackedSymmetricTensor3(DenseTensor3):
         d = R.shape[1]
         a = np.arange(d)
         self.pair = (a * d - a * (a + 1) // 2)[np.minimum.outer(a, a)] + np.maximum.outer(a, a)
-
-    @property
-    def dim(self):
-        return self.rows.shape[1]
 
     @property
     def entries(self):
@@ -254,7 +286,9 @@ def densify(tensor):
         raise ResourceBudgetError(
             f"refusing to densify d={tensor.dim} > limit {DENSE_DIM_LIMIT} (d**3 entries)")
     A = tensor.components
-    return DenseTensor3(np.einsum("j,ij,kj,lj->ikl", tensor.weights, A, A, A))
+    rows, cube = _dense_rows(tensor.dim)
+    np.einsum("j,ij,kj,lj->ikl", tensor.weights, A, A, A, out=cube)
+    return DenseTensor3._from_rows(rows)
 
 
 def _average_orbits(E):
@@ -329,10 +363,13 @@ def _symmetric_normal_rows(d, rng):
 
 def symmetrize(entries):
     """Average an arbitrary cubic array over all six index permutations."""
-    E = np.array(entries, dtype=np.float64, order="C")
+    E = np.asarray(entries, dtype=np.float64)
     if E.ndim != 3 or len(set(E.shape)) != 1:
         raise InvalidArgumentError(f"entries must be a cubic 3-d array, got {E.shape}")
-    return DenseTensor3(_average_orbits(E))
+    rows, cube = _dense_rows(E.shape[0])
+    cube[...] = E
+    _average_orbits(cube)
+    return DenseTensor3._from_rows(rows)
 
 
 def random_components(d, k, seed):
@@ -392,4 +429,6 @@ def scale_noise_to(noise, target_spectral_norm, seed=0, restarts=8, iters=20):
     if current == 0.0:
         raise InvalidArgumentError("cannot rescale a zero tensor")
     factor = target_spectral_norm / current
-    return DenseTensor3(noise.entries * factor)
+    rows, cube = _dense_rows(noise.dim)
+    np.multiply(noise.entries, factor, out=cube)
+    return DenseTensor3._from_rows(rows)

@@ -6,7 +6,8 @@ probes across BLAS thread counts.
 The recovery run has accept5's shape (d=50, k=100, n=20000, implicit
 samples) on three seeds, so a pool of two workers splits it, and its long
 sample sums are where a BLAS library would split a reduction across its
-threads.  The noise sweep has accept4's shape (d=100, k=300) on four seeds;
+threads.  There d^2 <= n, so the sample tensor contracts through its built
+moment; a second run at n = 2000 (d^2 > n) keeps it on the samples.  The noise sweep has accept4's shape (d=100, k=300) on four seeds;
 its noise, held once per unordered index pair, is contracted one vector at a
 time.  A second sweep at d=101, where the d^2 rows of a full unfolding do
 not split into whole row groups, runs at both BLAS thread counts too.  The
@@ -32,6 +33,8 @@ MULTIVIEW = {
     "snr_target": 0.88725458197698825, "n": 20000, "inits": 60,
     "tensor_mode": "implicit-samples",
 }
+
+MULTIVIEW_SUMMED = dict(MULTIVIEW, n=2000)
 
 
 POOLED = {
@@ -100,6 +103,17 @@ def _run_at_blas_threads(tmp_path, config, command):
 def test_multiview_artifacts_identical_across_blas_threads(tmp_path):
     blas1, blas2 = _run_at_blas_threads(tmp_path, MULTIVIEW, "decompose")
     assert _artifacts(blas1) == _artifacts(blas2)
+
+
+def test_multiview_on_the_samples_identical_across_blas_threads_and_workers(tmp_path):
+    blas1, blas2 = _run_at_blas_threads(tmp_path, MULTIVIEW_SUMMED, "decompose")
+    files, report = _artifacts(blas1)
+    assert len(report["per_seed"]) == 3
+    assert _artifacts(blas2) == (files, report)
+    for threads in (1, 2):
+        config = load_config(MULTIVIEW_SUMMED, out=str(tmp_path / f"w{threads}"))
+        run_experiment(config, threads=threads)
+        assert _artifacts(tmp_path / f"w{threads}") == (files, report)
 
 
 def test_noise_sweep_artifacts_identical_across_blas_threads_and_workers(tmp_path):

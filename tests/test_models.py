@@ -1,10 +1,12 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tpi import models
+from tpi import rng as tpi_rng
 from tpi.errors import InvalidArgumentError
 from tpi.models import (
     MixtureModel,
@@ -20,7 +22,8 @@ from tpi.models import (
     snr,
 )
 from tpi.rng import stream
-from tpi.tensors import FactoredTensor3, densify, random_components, scale_noise_to, symmetrize
+from tpi.tensors import (
+    FactoredTensor3, contract_1, densify, random_components, scale_noise_to, symmetrize)
 
 
 def gmm_modified_moment_loops(A, lam, sigma):
@@ -124,37 +127,38 @@ def test_sample_tensor_contraction_matches_dense():
     model = MixtureModel(A, np.full(5, 0.2), noise_scale=0.1)
     batch = sample_multiview(model, 300, seed=37)
     implicit = SampleTensor3(batch)
-    dense = empirical_third_moment(batch)
+    Z1, Z2, Z3 = batch.views
     rng = stream(37, 60)
     for _ in range(4):
         v = rng.standard_normal(7)
         w = rng.standard_normal(7)
         lhs = implicit.contract_1(v, w)
-        rhs = np.einsum("ijl,j,l->i", dense.entries, v, w)
+        rhs = np.einsum("it,jt,lt,j,l->i", Z1, Z2, Z3, v, w) / batch.n
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def chunk_loop_contraction(batch, v, w, chunk=1024):
-    """T(I, v, w) as a plain loop over 1024-sample slices of the views."""
-    Z1, Z2, Z3 = batch.views
+    """T(I, v, w) as a plain loop over 1024-sample slices of the views, the
+    last one zero-padded to a multiple of 32 samples."""
     acc = np.zeros(np.shape(v))
     for lo in range(0, batch.n, chunk):
-        s = slice(lo, lo + chunk)
-        acc += Z1[:, s] @ ((Z2[:, s].T @ v) * (Z3[:, s].T @ w))
+        width = min(chunk, -(-(batch.n - lo) // 32) * 32)
+        Z1, Z2, Z3 = np.zeros((3, batch.d, width))
+        for Z, view in zip((Z1, Z2, Z3), batch.views):
+            Z[:, : batch.n - lo] = view[:, lo : lo + chunk]
+        acc += Z1 @ ((Z2.T @ v) * (Z3.T @ w))
     return acc / batch.n
 
 
 @pytest.mark.parametrize("n", [500, 2048, 20000])
 def test_sample_tensor_stacked_chunks_match_chunk_loop_bitwise(n):
-    # n = 500 has no full chunk, 2048 no tail, 20000 a 544-sample tail.
-    d = 15
+    # n = 500 has no full chunk and a padded tail, 2048 no tail, 20000 a
+    # 544-sample tail.  The smallest d with d^2 > n keeps contract_1 on the
+    # samples.
+    d = math.isqrt(n) + 1
     rng = stream(n, 61)
     batch = SampleBatch([rng.standard_normal((d, n)) for _ in range(3)])
     implicit = SampleTensor3(batch)
-    if n >= 1024:
-        for view, stack in zip(batch.views, implicit._stacks[0]):
-            assert stack.shape == (n // 1024, d, 1024)
-            assert np.shares_memory(stack, view)
     for m in (None, 1, 5, 32, 224):
         shape = d if m is None else (d, m)
         v, w = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -162,6 +166,108 @@ def test_sample_tensor_stacked_chunks_match_chunk_loop_bitwise(n):
         oracle = chunk_loop_contraction(batch, v, w)
         assert out.shape == oracle.shape
         assert out.tobytes() == oracle.tobytes(), m
+    if n >= 1024:
+        for view, stack in zip(batch.views, implicit._stacks[0]):
+            assert stack.shape == (n // 1024, d, 1024)
+            assert np.shares_memory(stack, view)
+    assert implicit._moment is None
+
+
+def sample_loop_moment(Z1, Z2, Z3):
+    """(1/n) sum_t z1_t (x) z2_t (x) z3_t, one sample at a time."""
+    acc = np.zeros((Z1.shape[0],) * 3)
+    for z1, z2, z3 in zip(Z1.T, Z2.T, Z3.T):
+        acc += np.multiply.outer(np.outer(z1, z2), z3)
+    return acc / Z1.shape[1]
+
+
+@pytest.mark.parametrize("n", [40, 64, 300])
+def test_sample_moment_matches_a_per_sample_loop(n):
+    # n = 40 is one short chunk, 64 one full chunk, 300 four and a tail
+    d = 9
+    rng = stream(n, 62)
+    views = [rng.standard_normal((d, n)) for _ in range(3)]
+    rows = models._sample_moment(*views)
+    assert rows.shape == (96, d) and not rows[d * d:].any()
+    oracle = sample_loop_moment(*views)
+    assert np.max(np.abs(rows[: d * d].reshape(d, d, d) - oracle)) < 1e-12
+
+
+def test_sample_moment_bytes_do_not_depend_on_blas_threads():
+    api = tpi_rng._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    get, set_ = api
+    before = get()
+    try:
+        for d in (15, 30, 50):
+            rng = stream(d, 63)
+            views = [rng.standard_normal((d, 1000)) for _ in range(3)]
+            built = []
+            for threads in (1, 2):
+                set_(threads)
+                built.append(models._sample_moment(*views).tobytes())
+            assert built[0] == built[1], d
+    finally:
+        set_(before)
+
+
+@pytest.mark.parametrize("d", [6, 15, 30])
+def test_sample_tensor_moment_agrees_with_the_sample_sum(d):
+    rng = stream(d, 64)
+    batch = SampleBatch([rng.standard_normal((d, d * d)) for _ in range(3)])
+    implicit = SampleTensor3(batch)
+    for m in (None, 32, 224):
+        shape = d if m is None else (d, m)
+        v, w = rng.standard_normal(shape), rng.standard_normal(shape)
+        through = contract_1(implicit, v, w)
+        summed = implicit._contract_samples(v, w)
+        assert np.max(np.abs(through - summed)) <= 1e-12 * np.max(np.abs(summed)), m
+    assert implicit._moment is not None
+
+
+@pytest.mark.parametrize("n", [35, 36, 37])
+def test_sample_tensor_builds_the_moment_exactly_when_d_squared_fits_n(n):
+    d = 6
+    rng = stream(n, 65)
+    implicit = SampleTensor3(SampleBatch([rng.standard_normal((d, n)) for _ in range(3)]))
+    assert implicit._moment is None
+    implicit.contract_1(rng.standard_normal(d), rng.standard_normal(d))
+    assert (implicit._moment is not None) == (d * d <= n)
+
+
+def test_sample_tensor_stays_on_the_samples_beyond_the_dense_limit(monkeypatch):
+    # d^2 <= n, but d is past the dense budget of empirical_third_moment
+    monkeypatch.setattr(models, "DENSE_DIM_LIMIT", 5)
+    d, n = 6, 100
+    rng = stream(n, 66)
+    implicit = SampleTensor3(SampleBatch([rng.standard_normal((d, n)) for _ in range(3)]))
+    v, w = rng.standard_normal(d), rng.standard_normal(d)
+    assert implicit.contract_1(v, w).tobytes() == implicit._contract_samples(v, w).tobytes()
+    assert implicit._moment is None
+
+
+def test_sample_sum_bytes_do_not_depend_on_blas_threads():
+    # one full chunk and a 976-sample tail, which gave other block bytes at
+    # 1 and 2 threads before the tail was padded to a multiple of 32 samples
+    api = tpi_rng._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    get, set_ = api
+    d, n = 50, 2000
+    rng = stream(n, 67)
+    implicit = SampleTensor3(SampleBatch([rng.standard_normal((d, n)) for _ in range(3)]))
+    probes = [(rng.standard_normal(shape), rng.standard_normal(shape))
+              for shape in (d, (d, 32), (d, 224))]
+    before = get()
+    try:
+        out = []
+        for threads in (1, 2):
+            set_(threads)
+            out.append([implicit._contract_samples(v, w).tobytes() for v, w in probes])
+    finally:
+        set_(before)
+    assert out[0] == out[1]
 
 
 def one_shot_multiview(model, n, seed):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,9 +187,45 @@ def test_densify_budget_guard():
         densify(T)
 
 
+@pytest.mark.parametrize("shape", [(96, 9), (3, 3), (2, 3, 4)])
+def test_dense_constructor_takes_only_cubes(shape):
+    # (96, 9) is the padded unfolding at d = 9, which only the builders wrap
+    with pytest.raises(InvalidArgumentError):
+        DenseTensor3(np.zeros(shape))
+
+
+def test_dense_constructor_copies_the_cube_into_padded_rows():
+    E = stream(31, 1).standard_normal((9, 9, 9))
+    T = DenseTensor3(E)
+    assert T.rows.shape == (96, 9) and not T.rows[81:].any()
+    assert np.array_equal(T.entries, E) and not np.shares_memory(T.rows, E)
+    assert not T.rows.flags.writeable and not T.entries.flags.writeable
+
+
+def test_dense_builders_hold_one_copy_of_their_rows():
+    # each builder writes straight into its padded rows; a cube built first
+    # and copied into them would double the peak
+    d = 60
+    rng = stream(32, 1)
+    sym = FactoredTensor3(random_components(d, 20, seed=4), rng.uniform(0.5, 2.0, 20))
+    raw = rng.standard_normal((d, d, d))
+    noise = symmetrize(raw)
+    for build in (lambda: densify(sym), lambda: symmetrize(raw),
+                  lambda: scale_noise_to(noise, 1.0)):
+        tracemalloc.start()
+        try:
+            T = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= T.rows.nbytes + (1 << 19), (T, peak)
+
+
 def _block_representations():
-    """One tensor of every representation at d = 7; the sample tensor has
-    n = 2500 so its contraction crosses two chunk boundaries."""
+    """One tensor of every representation at d = 7.  The sample tensors have
+    n = 2500: "samples" contracts through its moment (d^2 <= n), and
+    "summed_samples" is held to the pass over the samples, which crosses two
+    chunk boundaries."""
     from tpi.models import MixtureModel, SampleTensor3, sample_multiview
 
     d, k = 7, 12
@@ -196,12 +233,13 @@ def _block_representations():
     A = random_components(d, k, seed=3)
     sym = FactoredTensor3(A, rng.uniform(0.5, 2.0, k))
     noise = symmetrize(rng.standard_normal((d, d, d)))
-    model = MixtureModel(A, np.full(k, 1.0 / k), noise_scale=0.1)
-    samples = SampleTensor3(sample_multiview(model, 2500, seed=24))
+    batch = sample_multiview(MixtureModel(A, np.full(k, 1.0 / k), noise_scale=0.1), 2500, seed=24)
+    summed = SampleTensor3(batch)
+    summed.contract_1 = summed._contract_samples
     return {"factored": sym, "dense": densify(sym),
             "packed": PackedSymmetricTensor3(_symmetric_normal_rows(d, rng)),
             "perturbed": PerturbedTensor(sym, noise),
-            "samples": samples}
+            "samples": SampleTensor3(batch), "summed_samples": summed}
 
 
 @pytest.mark.parametrize("m", [1, 5, 40])
@@ -237,12 +275,36 @@ def test_vector_contraction_keeps_its_formula():
     A = T.components
     v, w = rng.standard_normal(T.dim), rng.standard_normal(T.dim)
     assert np.array_equal(contract_1(T, v, w), A @ (T.weights * (A.T @ v) * (A.T @ w)))
-    # dense: the last mode, then the middle one (the d x d^2 unfolding times
-    # vec(v w^T) rounds differently at different BLAS thread counts)
+    # dense: the last mode through the padded unfolding, then the middle one
+    # (the d x d^2 unfolding times vec(v w^T) rounds differently at
+    # different BLAS thread counts)
     D = densify(T)
     d = D.dim
-    assert np.array_equal(contract_1(D, v, w),
-                          (D.entries.reshape(d * d, d) @ w).reshape(d, d) @ v)
+    assert D.rows.shape == (64, d) and not D.rows[d * d:].any()
+    assert np.array_equal(D.entries.reshape(d * d, d), D.rows[: d * d])
+    assert np.array_equal(contract_1(D, v, w), (D.rows @ w)[: d * d].reshape(d, d) @ v)
+
+
+@pytest.mark.parametrize("d", [101, 150])
+def test_dense_vector_contraction_bytes_do_not_depend_on_blas_threads(d):
+    # the unpadded d^2 x d unfolding gave other bytes at 1 and 2 threads
+    # for some of these probes at both sizes
+    api = tpi_rng._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    get, set_ = api
+    rng = stream(30, d)
+    T = DenseTensor3(rng.standard_normal((d, d, d)))
+    probes = [(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(20)]
+    before = get()
+    try:
+        out = []
+        for threads in (1, 2):
+            set_(threads)
+            out.append([contract_1(T, v, w).tobytes() for v, w in probes])
+    finally:
+        set_(before)
+    assert out[0] == out[1]
 
 
 def _unfolded_contraction(E, v, w):
