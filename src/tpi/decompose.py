@@ -8,10 +8,12 @@ sign-normalized so its cubic form is nonnegative, and (4) removes every
 survivor within correlation nu/2 of the emission.  Weights are read off the
 cubic form at each estimate.
 
-Refinement is a pure function of the pool column, so step (2) refines
-leaders ahead of the loop: at a leader not refined yet it predicts the
-leaders to come by running the loop on the unrefined pool (each pick drops
-the survivors within nu/2 of its pool column), and refines the predicted
+Refinement is a pure function of the pool column (over a sample tensor's
+samples, d^2 > n, its bytes also depend on the padded width of the block
+it refines in; see ``tensors._BLOCK_ALIGN``), so step (2) refines leaders
+ahead of the loop: at a leader not refined yet it predicts the leaders to
+come by running the loop on the unrefined pool (each pick drops the
+survivors within nu/2 of its pool column), and refines the predicted
 leaders as one d x m block, one block contraction per step, unless there
 are ``_NARROW_BATCH`` or fewer: then it refines the leader alone, as a
 vector.  A leader the prediction missed starts a new batch.
@@ -26,8 +28,11 @@ from .power import _iteration_budget, power_step, run_power
 from .tensors import contract_1, contract_scalar
 
 # A batch of at most this many predicted leaders refines the leader alone:
-# contract_1 pads a block to 32 columns, which costs about 4-6 vector
-# contractions on the sample tensors.
+# contract_1 pads a block to 32 columns.  A 5-column block costs about 4
+# vector contractions over the samples (d = 50, n = 2000), but 11-16 through
+# a built moment (d = 15, n = 100000 and d = 50, n = 20000), where the
+# benchmark's decompositions refine.  The value decides which leaders refine
+# as vectors, so changing it changes the output bytes.
 _NARROW_BATCH = 4
 
 

@@ -568,7 +568,7 @@ def _recovery_seed_multiview(config, seed_value):
     model, truth = _mixture(cfg, seed_value, zeta)
     batch = sample_multiview(model, cfg["n"], seed=seed_value)
     m_inits = min(cfg["inits"], batch.n)
-    coverage = len(set(batch.labels[:m_inits].tolist())) if batch.labels is not None else -1
+    coverage = len(set(batch.labels[:m_inits].tolist()))
     result = learn_multiview(batch, cfg["tensor_mode"], model=model, max_inits=m_inits,
                              **_decompose_options(cfg))
     report, metrics = _match_metrics(result, truth, cfg.get("accept", {}))

@@ -31,17 +31,14 @@ from .tensors import (
     _padded_rows)
 
 # Sample chunk of a moment build: each chunk is one d^2 x c by c x d product.
-# At d = 50 its temporaries (2.3 MB) stay below the 3.7 MB of the 224-column
-# passes over the samples that the moment replaces.
+# At d = 50 its temporaries (2.3 MB) stay below the 3.7 MB that a 224-column
+# contraction over the samples holds: two 1024 x 224 temporaries and one
+# d x 224.
 _MOMENT_CHUNK = 64
 # Sample chunk of a contraction over the samples.  It keeps each BLAS sum
 # short: OpenBLAS splits a 20000-sample vector product across its threads, so
 # the bytes depended on their count.
 _SAMPLE_CHUNK = 1024
-# SampleTensor3._contract_samples walks its chunks in groups whose
-# temporaries hold at most this many doubles (1 MB): a vector takes 128
-# chunks per group, a 32-column block 4 and a block of more than 64 columns 1.
-_GROUP_DOUBLES = 1 << 17
 # Sample noise is drawn, and SNR residuals are formed, in slabs of at most this
 # many doubles (1 MB), so neither holds a second array the size of a view.
 _SLAB = 1 << 17
@@ -225,15 +222,14 @@ class SampleTensor3:
     Otherwise every contraction sums over the samples, without the d^3
     moment: T(I, v, w) = (1/n) sum_i <z2_i, v> <z3_i, w> z1_i, in O(dn)
     per column.  The sum runs over fixed chunks of ``_SAMPLE_CHUNK``
-    samples, for a vector pair and for a d x m block pair alike.  The full
-    chunks of each view are one strided (n_chunks, d, chunk) view of it, so
-    a group of chunks is one stacked matmul per operand, made inside numpy
-    without the GIL.  Each chunk is still its own BLAS call with the shapes
-    and leading dimensions of a plain slice, and the chunk products are
-    added in chunk order, so the bytes are those of a per-chunk loop.  The
-    last, short chunk is a copy zero-padded to a multiple of
-    ``_BLOCK_ALIGN`` samples: a ragged one gave block bytes that depended on
-    the BLAS thread count (at d = 50 with a 976-sample tail, for one).
+    samples, in order, for a vector pair and for a d x m block pair alike;
+    each chunk adds Z1 @ ((Z2^T v) * (Z3^T w)).  A full chunk is a slice of
+    each view, not a copy.  The last, short chunk is a copy zero-padded to a
+    multiple of ``_BLOCK_ALIGN`` samples, made on the first contraction: a
+    ragged one gave block bytes that depended on the BLAS thread count (at
+    d = 50 with a 976-sample tail, for one).  A block column's bytes do not
+    depend on its neighbours' values, but they do depend on the block's
+    padded width (``tensors._BLOCK_ALIGN``).
 
     Either way it satisfies the contraction protocol the power engine uses,
     so the overcomplete pipeline can run straight off samples.
@@ -245,7 +241,7 @@ class SampleTensor3:
         self._n = n = batch.n
         # the same budget as the other moment builders
         self._summed = self.dim ** 2 > n or self.dim > DENSE_DIM_LIMIT
-        self._moment = self._stacks = None
+        self._moment = self._chunks = None
 
     @property
     def dim(self):
@@ -259,44 +255,27 @@ class SampleTensor3:
         # the method itself: tensors.contract_1 has checked and padded v and w
         return self._moment.contract_1(v, w)
 
-    def _chunk_stacks(self):
-        """Stacks of three (chunks, d, samples) arrays: the full chunks, as
-        views of the views, then the tail, as a padded stack of one."""
-        (d, n), full = self._Z1.shape, self._n - self._n % _SAMPLE_CHUNK
-        stacks = []
-        if full:
-            stacks.append(tuple(
-                Z[:, :full].reshape(d, full // _SAMPLE_CHUNK, _SAMPLE_CHUNK).transpose(1, 0, 2)
-                for Z in self._views))
-        if full < n:
-            tail = np.zeros((3, 1, d, _padded_rows(n - full)))
-            for t, Z in zip(tail, self._views):
-                t[0, :, : n - full] = Z[:, full:]
-            stacks.append(tuple(tail))
-        return stacks
-
     def _contract_samples(self, v, w):
-        if self._stacks is None:
-            self._stacks = self._chunk_stacks()
-        d = self.dim
-        V = np.reshape(v, (d, -1))
-        W = np.reshape(w, (d, -1))
-        m = V.shape[1]
-        acc = np.zeros(V.shape)
-        group = max(1, _GROUP_DOUBLES // (max(_SAMPLE_CHUNK, d) * m))
-        # The group temporaries are allocated once per call: allocated per
-        # group, the allocator can hand them back to the OS every time.
-        u_buf, t_buf = np.empty((2, group * _SAMPLE_CHUNK * m))
-        p_buf = np.empty(group * d * m)
-        for Z1, Z2, Z3 in self._stacks:
-            for lo in range(0, len(Z1), group):
-                s = slice(lo, lo + group)
-                g, c = min(group, len(Z1) - lo), Z1.shape[2]
-                u = np.matmul(Z2[s].mT, V, out=u_buf[: g * c * m].reshape(g, c, m))
-                u *= np.matmul(Z3[s].mT, W, out=t_buf[: g * c * m].reshape(g, c, m))
-                for product in np.matmul(Z1[s], u, out=p_buf[: g * d * m].reshape(g, d, m)):
-                    acc += product
-        return (acc / self._n).reshape(np.shape(v))
+        if self._chunks is None:
+            d, n = self._Z1.shape
+            full = n - n % _SAMPLE_CHUNK
+            self._chunks = [[Z[:, lo : lo + _SAMPLE_CHUNK] for Z in self._views]
+                            for lo in range(0, full, _SAMPLE_CHUNK)]
+            if full < n:
+                tail = np.zeros((3, d, _padded_rows(n - full)))
+                for t, Z in zip(tail, self._views):
+                    t[:, : n - full] = Z[:, full:]
+                self._chunks.append(tail)
+        # The temporaries are allocated once per call: fresh ones for every
+        # chunk made learn_multiview 1.2-1.8 times slower at d = 50 to 150.
+        acc, product = np.zeros(np.shape(v)), np.empty(np.shape(v))
+        u_buf, t_buf = np.empty((2, _SAMPLE_CHUNK) + np.shape(v)[1:])
+        for Z1, Z2, Z3 in self._chunks:
+            u, t = u_buf[: Z1.shape[1]], t_buf[: Z1.shape[1]]
+            np.matmul(Z2.T, v, out=u)
+            u *= np.matmul(Z3.T, w, out=t)
+            acc += np.matmul(Z1, u, out=product)
+        return acc / self._n
 
 
 def _sigma_correction(mean_vec, sigma):

@@ -33,7 +33,14 @@ DENSE_DIM_LIMIT = 256
 # width.  OpenBLAS rounds a column differently depending on the block's memory
 # order, its width and where the thread split falls; on C-ordered widths that
 # are multiples of 32 a column comes out the same in any block and for 1-4
-# BLAS threads (OpenBLAS 0.3.31, SkylakeX kernels).
+# BLAS threads (OpenBLAS 0.3.31, SkylakeX kernels).  The exception is a
+# sample tensor contracted over its samples (d^2 > n): there a column's bytes
+# depend on the padded width, though not on its neighbours' values (at
+# d = 51, n = 2500, 9 and 20 columns agree, 40 and 60 agree, 9 and 40
+# differ).  Taking the final Z1 @ u product in 32-column slabs made every
+# width agree at d = 15, 31, 51, 64 and 101, but cost 11-24% per 224-column
+# call and about 14% on learn_multiview at d = 100 and 150, so it is left
+# for a rework of that kernel.
 _BLOCK_ALIGN = 32
 
 
@@ -254,7 +261,8 @@ def contract_1(tensor, v, w):
     With d x m blocks ``v`` and ``w`` it returns the d x m block whose column
     j is T(I, v_j, w_j).  The block runs as a C-ordered copy zero-padded to a
     multiple of ``_BLOCK_ALIGN`` columns, so that a column's bytes do not
-    depend on the other columns or on the BLAS thread count.
+    depend on the other columns or on the BLAS thread count (over a sample
+    tensor's samples they depend on the padded width; see ``_BLOCK_ALIGN``).
     """
     v = _check_probe(tensor, v, "v")
     w = _check_probe(tensor, w, "w")
@@ -263,7 +271,7 @@ def contract_1(tensor, v, w):
     if v.ndim == 1:
         return tensor.contract_1(v, w)
     d, m = v.shape
-    width = -(-m // _BLOCK_ALIGN) * _BLOCK_ALIGN
+    width = _padded_rows(m)
     vp, wp = np.zeros((d, width)), np.zeros((d, width))
     vp[:, :m], wp[:, :m] = v, w
     return tensor.contract_1(vp, wp)[:, :m]

@@ -162,14 +162,18 @@ def test_sample_tensor_stacked_chunks_match_chunk_loop_bitwise(n):
     for m in (None, 1, 5, 32, 224):
         shape = d if m is None else (d, m)
         v, w = rng.standard_normal(shape), rng.standard_normal(shape)
-        out = implicit.contract_1(v, w)
+        tracemalloc.start()
+        try:
+            out = implicit.contract_1(v, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full chunks are slices of the views, not copies: at n = 20000
+        # (d = 142) one view is 22.7 MB, the padded tail 1.9 MB
+        assert n < 20000 or peak < batch.views[0].nbytes, (m, peak)
         oracle = chunk_loop_contraction(batch, v, w)
         assert out.shape == oracle.shape
         assert out.tobytes() == oracle.tobytes(), m
-    if n >= 1024:
-        for view, stack in zip(batch.views, implicit._stacks[0]):
-            assert stack.shape == (n // 1024, d, 1024)
-            assert np.shares_memory(stack, view)
     assert implicit._moment is None
 
 

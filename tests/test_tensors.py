@@ -255,18 +255,35 @@ def test_block_contraction_matches_per_column(m):
 
 
 def test_block_column_does_not_depend_on_its_neighbours():
-    rng = stream(26, 1)
-    for name, T in _block_representations().items():
-        V = rng.standard_normal((T.dim, 9))
-        W = rng.standard_normal((T.dim, 9))
-        ref = contract_1(T, V, W)
-        others = rng.standard_normal((T.dim, 70))
-        for cols in ([4], [2, 4], [8, 0, 3]):
-            alone = contract_1(T, V[:, cols], W[:, cols])
-            assert np.array_equal(alone, ref[:, cols]), (name, cols)
-        mixed = contract_1(T, np.column_stack([others, V[:, 4]]),
-                           np.column_stack([others, W[:, 4]]))
-        assert np.array_equal(mixed[:, -1], ref[:, 4]), name
+    # Over the samples (d^2 > n) a column's bytes depend on the block's
+    # padded width from d = 15 on: at d = 51, n = 2500, 9 and 40 columns
+    # differ.  So the d = 51 tensor mixes a column with 19 others, which
+    # keeps the 32-column width of the 9-column block; the rest take 70.
+    from tpi.models import SampleBatch, SampleTensor3
+
+    tensors = {name: (T, 70) for name, T in _block_representations().items()}
+    views = stream(26, 2).standard_normal((3, 51, 2500))
+    tensors["summed_samples_d51"] = (SampleTensor3(SampleBatch(views)), 19)
+    api = tpi_rng._openblas_threads()
+    get, set_ = api if api is not None else (lambda: None, lambda threads: None)
+    before = get()
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            rng = stream(26, 1)
+            for name, (T, n_others) in tensors.items():
+                V = rng.standard_normal((T.dim, 9))
+                W = rng.standard_normal((T.dim, 9))
+                ref = contract_1(T, V, W)
+                others = rng.standard_normal((T.dim, n_others))
+                for cols in ([4], [2, 4], [8, 0, 3]):
+                    alone = contract_1(T, V[:, cols], W[:, cols])
+                    assert np.array_equal(alone, ref[:, cols]), (name, cols, threads)
+                mixed = contract_1(T, np.column_stack([others, V[:, 4]]),
+                                   np.column_stack([others, W[:, 4]]))
+                assert np.array_equal(mixed[:, -1], ref[:, 4]), (name, threads)
+    finally:
+        set_(before)
 
 
 def test_vector_contraction_keeps_its_formula():

@@ -1,8 +1,8 @@
 """Print a sha256 of every artifact the frozen and benchmark configs write.
 
 Runs each ``configs/accept*.json`` and each ``perfbench/workloads.py``
-config at seeds 0 and 1, once with 1 worker and once with 2, and prints one
-line per artifact of the 1-worker run:
+config, and ``multiview-summed``, at seeds 0 and 1, once with 1 worker and
+once with 2, and prints one line per artifact of the 1-worker run:
 
     <sha256>  <config> seed=<s> <artifact>
 
@@ -13,6 +13,11 @@ kinds only) and ``report.json`` without its ``wall_clock_s`` and
 write the same artifacts exactly when this script prints the same lines in
 both, so a byte-identity claim is checked by running it in each and
 comparing the output (set ``OPENBLAS_NUM_THREADS`` alike for both runs).
+
+Every other config that contracts a sample tensor has d^2 <= n, so it
+contracts through the built moment.  ``multiview-summed`` is accept5's shape at n = 2000 with 60
+starts and 3 seeds (``tests/test_determinism.py``'s ``MULTIVIEW_SUMMED``):
+there d^2 > n, so its digests cover the contraction over the samples.
 
 Run from anywhere: ``python tools/artifact_digests.py``.  ``tpi`` is
 imported from the ``src/`` of the checkout holding this file.
@@ -34,6 +39,12 @@ from workloads import WORKLOADS  # noqa: E402
 SEEDS = (0, 1)
 WORKERS = (1, 2)
 ARTIFACTS = ("config.json", "table.csv", "traces.jsonl", "report.json")
+MULTIVIEW_SUMMED = {
+    "schema": 1, "kind": "recovery", "seeds": {"count": 3, "base": 0},
+    "d": 50, "k": 100, "source": "multiview",
+    "snr_target": 0.88725458197698825, "n": 2000, "inits": 60,
+    "tensor_mode": "implicit-samples",
+}
 
 
 def _digests(run_dir):
@@ -56,6 +67,7 @@ def _digests(run_dir):
 def main():
     sources = {path.stem: str(path) for path in sorted((ROOT / "configs").glob("accept*.json"))}
     sources.update((f"workload:{name}", w.config) for name, w in WORKLOADS.items())
+    sources["multiview-summed"] = MULTIVIEW_SUMMED
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         for label, source in sources.items():
