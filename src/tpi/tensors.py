@@ -8,7 +8,7 @@ Two representations are used throughout:
 * ``DenseTensor3`` — an explicit ``d**3`` array, used as a brute-force oracle
   at small d and to carry arbitrary perturbations.  Its subclass
   ``PackedSymmetricTensor3`` holds an exactly symmetric tensor once per
-  unordered index pair, in half the bytes.
+  unordered index pair, in half the bytes; ``symmetrize`` returns one.
 
 The mode-1 contraction ``T(I, v, w)`` is the workhorse: for the factored form
 
@@ -183,8 +183,8 @@ class PackedSymmetricTensor3(DenseTensor3):
     the BLAS thread split of ``rows @ w`` falls on whole row groups.  The
     d x d table ``pair`` maps (a, b) and (b, a) to that row.
 
-    ``entries`` unpacks a read-only d^3 copy, for oracles and for
-    ``scale_noise_to``; the contractions read only the rows.
+    ``entries`` unpacks a read-only d^3 copy, for oracles; the contractions,
+    ``symmetrize`` and ``scale_noise_to`` work on the rows alone.
     """
 
     def __init__(self, rows):
@@ -198,6 +198,11 @@ class PackedSymmetricTensor3(DenseTensor3):
         d = R.shape[1]
         a = np.arange(d)
         self.pair = (a * d - a * (a + 1) // 2)[np.minimum.outer(a, a)] + np.maximum.outer(a, a)
+
+    @classmethod
+    def _from_rows(cls, rows):
+        # the constructor holds C-ordered float64 rows without a copy
+        return cls(rows)
 
     @property
     def entries(self):
@@ -278,9 +283,10 @@ def contract_1(tensor, v, w):
 
 
 def contract_scalar(tensor, u, v, w):
-    """Full contraction T(u, v, w) -> scalar."""
-    u = _check_probe(tensor, u, "u")
-    return float(u @ contract_1(tensor, v, w))
+    """Full contraction T(u, v, w) -> scalar, for length-d vectors u, v and w."""
+    if not np.ndim(u) == np.ndim(v) == np.ndim(w) == 1:
+        raise InvalidArgumentError(f"u, v and w must be vectors of length {tensor.dim}")
+    return float(_check_probe(tensor, u, "u") @ contract_1(tensor, v, w))
 
 
 def densify(tensor):
@@ -299,28 +305,19 @@ def densify(tensor):
     return DenseTensor3._from_rows(rows)
 
 
-def _average_orbits(E):
-    """Average a cubic float64 array over its six index permutations, in place.
+def _write_plane(rows, i, plane, tail):
+    """Write the orbits whose smallest index is i into packed pair rows.
 
-    The entries whose smallest index is i sit in the plane E[i, i:, i:] and
-    the slices E[i:, i, i:] and E[i:, i:, i]; with s their sum, entry (j, l)
-    of (s + s^T) / 6 is the mean of the orbit of (i, i+j, i+l).  All three
-    are read before any is written, and every permutation of an entry gets
-    the same bits, so the result is exactly symmetric.
+    ``plane``, the symmetric m x m plane (m = d - i) whose entry (j, l) is
+    the value of (i, i+j, i+l), is the rows (i, i..d-1) at the columns
+    i..d-1; ``tail``, its upper triangle past the first row, row by row, is
+    column i of every later row (a, b), i < a <= b.  An earlier plane wrote
+    every other entry of those rows.
     """
-    d = E.shape[0]
-    s_buf, u_buf = np.empty(d * d), np.empty(d * d)
-    for i in range(d):
-        m = d - i
-        s, u = s_buf[:m * m].reshape(m, m), u_buf[:m * m].reshape(m, m)
-        np.add(E[i, i:, i:], E[i:, i, i:], out=s)
-        s += E[i:, i:, i]
-        np.add(s, s.T, out=u)
-        u /= 6.0
-        E[i, i:, i:] = u
-        E[i:, i, i:] = u
-        E[i:, i:, i] = u
-    return E
+    d, m = rows.shape[1], plane.shape[0]
+    p = i * d - i * (i - 1) // 2  # the row of the pair (i, i)
+    rows[p:p + m, i:] = plane
+    rows[p + m:p + m + tail.size, i] = tail
 
 
 def _symmetric_normal_rows(d, rng):
@@ -335,11 +332,7 @@ def _symmetric_normal_rows(d, rng):
 
     Draw order: the orbits in lexicographic order of their sorted index
     i <= j <= l, drawn one i at a time (the upper triangle z of the m x m
-    plane of i, m = d - i, row by row).  Mirrored, the plane is the rows
-    (i, i..d-1) at the columns i..d-1; the triangle past its first row is
-    column i of every later row (a, b), i < a <= b, in the same order.
-    Every other entry of a row has a smaller index, so an earlier plane
-    wrote it.
+    plane of i, m = d - i, row by row; see ``_write_plane``).
     """
     n = d * (d + 1) // 2
     rows = np.zeros((_pair_row_count(d), d))
@@ -356,28 +349,49 @@ def _symmetric_normal_rows(d, rng):
     rest = np.full(n - d, 1.0 / np.sqrt(6.0))
     rest[-(t[:-1] * (t[:-1] + 1) // 2)] = 1.0 / np.sqrt(3.0)
     z_buf = np.empty(n)
-    p = 0
     for i in range(d):
         m = d - i
         z = z_buf[:m * (m + 1) // 2]
         rng.standard_normal(out=z)
         z[:m] *= first[:m]
         z[m:] *= rest[rest.size - (z.size - m):]
-        rows[p:p + m, i:] = z[back[i:, i:]]
-        rows[p + m:n, i] = z[m:]
-        p += m
+        _write_plane(rows, i, z[back[i:, i:]], z[m:])
     return rows
 
 
+def _noise_tensor(d, target_norm, seed):
+    """The noisy runs' E, with the law of ``scale_noise_to(symmetrize(G),
+    target_norm, seed, restarts=4, iters=12)`` for an i.i.d. N(0, 1) d^3
+    draw G: one normal per orbit of ``stream(seed, 603)``, scaled in place."""
+    rows = _symmetric_normal_rows(d, stream(seed, 603))
+    # estimate on a read-only view, so the rows themselves stay writable
+    return _scaled(PackedSymmetricTensor3(rows.view()), rows, target_norm, seed, 4, 12)
+
+
 def symmetrize(entries):
-    """Average an arbitrary cubic array over all six index permutations."""
+    """Average an arbitrary cubic array over all six index permutations, as
+    an exactly symmetric ``PackedSymmetricTensor3``."""
     E = np.asarray(entries, dtype=np.float64)
     if E.ndim != 3 or len(set(E.shape)) != 1:
         raise InvalidArgumentError(f"entries must be a cubic 3-d array, got {E.shape}")
-    rows, cube = _dense_rows(E.shape[0])
-    cube[...] = E
-    _average_orbits(cube)
-    return DenseTensor3._from_rows(rows)
+    d = E.shape[0]
+    rows = np.zeros((_pair_row_count(d), d))
+    # flat offsets of the d x d upper triangle, row by row: the last
+    # m(m-1)/2 are the tail of the plane held in u_buf[i:, i:]
+    triangle = np.ravel_multi_index(np.triu_indices(d), (d, d))
+    s_buf, t_buf, u_buf = np.empty(d * d), np.empty(d * d), np.empty((d, d))
+    for i in range(d):
+        # the entries whose smallest index is i sit in E[i, i:, i:], E[i:, i, i:]
+        # and E[i:, i:, i]; with s their sum, entry (j, l) of (s + s^T) / 6 is
+        # the mean of the orbit of (i, i+j, i+l), the same bits at (l, j)
+        m = d - i
+        s, t, u = s_buf[:m * m].reshape(m, m), t_buf[:m * m].reshape(m, m), u_buf[i:, i:]
+        np.add(E[i, i:, i:], E[i:, i, i:], out=s)
+        s += E[i:, i:, i]
+        np.add(s, s.T, out=t)
+        np.divide(t, 6.0, out=u)
+        _write_plane(rows, i, u, u_buf.take(triangle[triangle.size - m * (m - 1) // 2:]))
+    return PackedSymmetricTensor3(rows)
 
 
 def random_components(d, k, seed):
@@ -421,22 +435,27 @@ def spectral_norm_estimate(tensor, restarts=8, iters=20, seed=0):
     return best
 
 
+def _scaled(tensor, rows, target, seed, restarts, iters):
+    """``rows``, writable and holding ``tensor``'s values, scaled in place by
+    ``target`` over ``tensor``'s spectral-norm estimate, in its layout."""
+    current = spectral_norm_estimate(tensor, restarts=restarts, iters=iters, seed=seed)
+    if current == 0.0:
+        raise InvalidArgumentError("cannot rescale a zero tensor")
+    rows *= target / current
+    return tensor._from_rows(rows)
+
+
 def scale_noise_to(noise, target_spectral_norm, seed=0, restarts=8, iters=20):
     """Rescale a dense tensor so its spectral-norm estimate hits the target.
 
-    Because the estimator is exactly homogeneous (same seed, same starts, and
-    power trajectories ignore scale), the rescaled tensor's fresh estimate
-    equals ``target_spectral_norm`` up to floating-point rounding — no
+    The scaled copy keeps the input's layout.  Because the estimator is
+    exactly homogeneous (same seed, same starts, and power trajectories
+    ignore scale), the rescaled tensor's fresh estimate equals
+    ``target_spectral_norm`` up to floating-point rounding — no
     re-estimation loop is needed.
     """
     if not isinstance(noise, DenseTensor3):
         raise InvalidArgumentError("scale_noise_to expects a DenseTensor3")
     if not 0 <= target_spectral_norm < np.inf:
         raise InvalidArgumentError("target spectral norm must be finite and >= 0")
-    current = spectral_norm_estimate(noise, restarts=restarts, iters=iters, seed=seed)
-    if current == 0.0:
-        raise InvalidArgumentError("cannot rescale a zero tensor")
-    factor = target_spectral_norm / current
-    rows, cube = _dense_rows(noise.dim)
-    np.multiply(noise.entries, factor, out=cube)
-    return DenseTensor3._from_rows(rows)
+    return _scaled(noise, noise.rows.copy(), target_spectral_norm, seed, restarts, iters)

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpi import experiments
 from tpi.errors import InvalidArgumentError
 from tpi.experiments import (
     load_config,
@@ -20,6 +19,7 @@ from tpi.experiments import (
 from tpi.rng import stream
 from tpi.tensors import (
     PackedSymmetricTensor3,
+    _noise_tensor,
     _pair_row_count,
     _symmetric_normal_rows,
     spectral_norm_estimate,
@@ -280,7 +280,7 @@ def _pair_rows_of(E):
 @pytest.mark.parametrize("d", [100, 9, 1])
 def test_noise_tensor_matches_the_orbit_loop_oracle(d):
     seed, target = 7, 0.02 * np.sqrt(3 * d) / d
-    built = experiments._noise_tensor(d, target, seed)
+    built = _noise_tensor(d, target, seed)
     raw = _pair_rows_of(_orbit_loop_oracle(d, seed))
     current = spectral_norm_estimate(PackedSymmetricTensor3(raw), restarts=4, iters=12, seed=seed)
     assert isinstance(built, PackedSymmetricTensor3)
@@ -321,10 +321,10 @@ def test_orbit_draw_has_the_class_variances_of_symmetrize():
 
 def test_noise_tensor_holds_its_pair_rows_once():
     d = 100
-    experiments._noise_tensor(8, 0.01, 0)  # warm up lazy allocations
+    _noise_tensor(8, 0.01, 0)  # warm up lazy allocations
     tracemalloc.start()
     try:
-        experiments._noise_tensor(d, 0.02 * np.sqrt(3 * d) / d, 3)
+        _noise_tensor(d, 0.02 * np.sqrt(3 * d) / d, 3)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

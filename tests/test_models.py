@@ -151,7 +151,7 @@ def chunk_loop_contraction(batch, v, w, chunk=1024):
 
 
 @pytest.mark.parametrize("n", [500, 2048, 20000])
-def test_sample_tensor_stacked_chunks_match_chunk_loop_bitwise(n):
+def test_sample_tensor_chunk_loop_matches_its_oracle_bitwise(n):
     # n = 500 has no full chunk and a padded tail, 2048 no tail, 20000 a
     # 544-sample tail.  The smallest d with d^2 > n keeps contract_1 on the
     # samples.

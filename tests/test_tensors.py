@@ -65,10 +65,12 @@ def test_factored_matches_loop_oracle():
 def test_dense_matches_loop_oracle():
     rng = stream(12, 1)
     d = 6
-    T = symmetrize(rng.standard_normal((d, d, d)))
+    S = symmetrize(rng.standard_normal((d, d, d)))
     v = rng.standard_normal(d)
     w = rng.standard_normal(d)
-    assert np.max(np.abs(contract_1(T, v, w) - contract_1_loops(T.entries, v, w))) < 1e-10
+    # symmetrize returns the packed layout; the d^3 one holds the same cube
+    for T in (S, DenseTensor3(S.entries)):
+        assert np.max(np.abs(contract_1(T, v, w) - contract_1_loops(T.entries, v, w))) < 1e-10
 
 
 def test_symmetrize_is_symmetric_and_idempotent():
@@ -88,6 +90,56 @@ def test_symmetrize_averages_each_entry_over_its_six_permutations(d):
         terms = [raw[p] for p in itertools.permutations((i, j, l))]
         scale = sum(abs(t) for t in terms) / 6.0
         assert abs(S[i, j, l] - sum(terms) / 6.0) <= 1e-15 * scale
+
+
+def _average_orbits(E):
+    """Average a cubic float64 array over its six index permutations, in place.
+
+    The entries whose smallest index is i sit in the plane E[i, i:, i:] and
+    the slices E[i:, i, i:] and E[i:, i:, i]; with s their sum, entry (j, l)
+    of (s + s^T) / 6 is the mean of the orbit of (i, i+j, i+l).  All three
+    are read before any is written.  ``symmetrize`` and ``scale_noise_to``
+    must give these bits without a d^3 array.
+    """
+    d = E.shape[0]
+    s_buf, u_buf = np.empty(d * d), np.empty(d * d)
+    for i in range(d):
+        m = d - i
+        s, u = s_buf[:m * m].reshape(m, m), u_buf[:m * m].reshape(m, m)
+        np.add(E[i, i:, i:], E[i:, i, i:], out=s)
+        s += E[i:, i:, i]
+        np.add(s, s.T, out=u)
+        u /= 6.0
+        E[i, i:, i:] = u
+        E[i:, i, i:] = u
+        E[i:, i:, i] = u
+    return E
+
+
+@pytest.mark.parametrize("d", [1, 7, 40])
+def test_symmetrize_and_scale_noise_to_match_the_orbit_average_bitwise(d):
+    raw = stream(15, d).standard_normal((d, d, d))
+    oracle = _average_orbits(raw.copy())
+    S = symmetrize(raw)
+    assert isinstance(S, PackedSymmetricTensor3)
+    assert np.array_equal(S.entries, oracle)
+    # the factor of a d^3 DenseTensor3 holding the oracle: the packed rows
+    # give the same vector contractions, so the same estimate
+    target, seed = 0.37, 5
+    factor = target / spectral_norm_estimate(DenseTensor3(oracle), restarts=8, iters=20, seed=seed)
+    scaled = scale_noise_to(S, target, seed=seed)
+    assert isinstance(scaled, PackedSymmetricTensor3)
+    assert np.array_equal(scaled.entries, oracle * factor)
+    assert np.array_equal(S.entries, oracle)  # the input is not scaled
+
+
+def test_scale_noise_to_keeps_a_dense_layout():
+    d = 6
+    E = densify(FactoredTensor3(random_components(d, 4, seed=1), np.ones(4)))
+    scaled = scale_noise_to(E, 1.0, seed=2)
+    assert type(scaled) is DenseTensor3 and not scaled.rows.flags.writeable
+    factor = 1.0 / spectral_norm_estimate(E, seed=2)
+    assert np.array_equal(scaled.rows, E.rows * factor)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4)])
@@ -118,15 +170,14 @@ def test_random_components_unit_norm_and_reproducible():
 def sphere_max_d3(entries, n_grid=400):
     """Spectral norm oracle for d=3 via a dense sphere mesh plus local
     power-iteration polish from the best mesh point."""
-    best, best_x = 0.0, None
-    for theta in np.linspace(0, np.pi, n_grid):
-        sin_t = np.sin(theta)
-        for phi in np.linspace(0, 2 * np.pi, 2 * n_grid, endpoint=False):
-            x = np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])
-            val = abs(np.einsum("ijk,i,j,k->", entries, x, x, x))
-            if val > best:
-                best, best_x = val, x
-    x = best_x
+    theta = np.linspace(0, np.pi, n_grid)[:, None]
+    phi = np.linspace(0, 2 * np.pi, 2 * n_grid, endpoint=False)[None, :]
+    mesh = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                                        np.cos(theta)), axis=-1).reshape(-1, 3)
+    values = np.abs(np.einsum("ijk,ni,nj,nk->n", entries, mesh, mesh, mesh))
+    # the first mesh point (theta-major) at the largest value
+    x = mesh[np.argmax(values)]
+    best = values.max()
     for _ in range(200):
         y = np.einsum("ijk,j,k->i", entries, x, x)
         nrm = np.linalg.norm(y)
@@ -209,9 +260,9 @@ def test_dense_builders_hold_one_copy_of_their_rows():
     rng = stream(32, 1)
     sym = FactoredTensor3(random_components(d, 20, seed=4), rng.uniform(0.5, 2.0, 20))
     raw = rng.standard_normal((d, d, d))
-    noise = symmetrize(raw)
+    noise, dense = symmetrize(raw), densify(sym)
     for build in (lambda: densify(sym), lambda: symmetrize(raw),
-                  lambda: scale_noise_to(noise, 1.0)):
+                  lambda: scale_noise_to(noise, 1.0), lambda: scale_noise_to(dense, 1.0)):
         tracemalloc.start()
         try:
             T = build()
@@ -365,6 +416,19 @@ def test_packed_vector_contraction_agrees_with_the_unfolded_one(d):
 def test_packed_rows_must_be_the_padded_pair_count(shape):
     with pytest.raises(InvalidArgumentError):
         PackedSymmetricTensor3(np.zeros(shape))
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_contract_scalar_takes_only_vectors(m):
+    # m = 7 = d makes u @ T(I, V, W) a d x d product, 3 a shape mismatch
+    T = _block_representations()["factored"]
+    x, V = np.ones(T.dim), np.ones((T.dim, m))
+    for probes in ((V, V, V), (x, V, V), (V, x, x), (x, x, V)):
+        with pytest.raises(InvalidArgumentError):
+            contract_scalar(T, *probes)
+    with pytest.raises(InvalidArgumentError):
+        contract_scalar(T, x[:-1], x, x)
+    assert isinstance(contract_scalar(T, x, x, x), float)
 
 
 def test_block_probe_shapes_checked():
