@@ -3,7 +3,7 @@
 The pipeline runs power iteration from all initializations at once, as one
 d x m block (one block contraction per step), then repeatedly
 (1) picks the surviving iterate maximizing |T(x, x, x)|, (2) refines it with
-as many extra power steps as the iteration budget, (3) emits it
+a second power run under the same iteration budget, (3) emits it
 sign-normalized so its cubic form is nonnegative, and (4) removes every
 survivor within correlation nu/2 of the emission.  Weights are read off the
 cubic form at each estimate.
@@ -14,9 +14,9 @@ it refines in; see ``tensors._BLOCK_ALIGN``), so step (2) refines leaders
 ahead of the loop: at a leader not refined yet it predicts the leaders to
 come by running the loop on the unrefined pool (each pick drops the
 survivors within nu/2 of its pool column), and refines the predicted
-leaders as one d x m block, one block contraction per step, unless there
-are ``_NARROW_BATCH`` or fewer: then it refines the leader alone, as a
-vector.  A leader the prediction missed starts a new batch.
+leaders with one ``run_power`` call on their d x m block, where each
+column stops at its own fixed point, like the pool run.  A leader the
+prediction missed starts a new batch.
 """
 
 from dataclasses import dataclass, field
@@ -24,16 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
+# power_step and contract_scalar are not called here; they stay importable
+# from this module because perfbench's tracer looks them up on it
 from .power import _iteration_budget, power_step, run_power
 from .tensors import contract_1, contract_scalar
-
-# A batch of at most this many predicted leaders refines the leader alone:
-# contract_1 pads a block to 32 columns.  A 5-column block costs about 4
-# vector contractions over the samples (d = 50, n = 2000), but 11-16 through
-# a built moment (d = 15, n = 100000 and d = 50, n = 20000), where the
-# benchmark's decompositions refine.  The value decides which leaders refine
-# as vectors, so changing it changes the output bytes.
-_NARROW_BATCH = 4
 
 
 @dataclass
@@ -93,12 +87,10 @@ def decompose(tensor, inits, max_iters=None, nu=0.5):
         if idx not in refined:
             batch = [j for j in _predicted_leaders(X, scores, alive, half_nu)
                      if j not in refined]
-            if len(batch) > _NARROW_BATCH:
-                xs, final = _refine(tensor, X[:, batch], n_iters)
-                for j, x, score in zip(batch, xs.T.copy(), final.tolist()):
-                    refined[j] = x, score
-            else:
-                refined[idx] = _refine(tensor, X[:, idx].copy(), n_iters)
+            xs = run_power(tensor, X[:, batch], n_iters).final_x
+            final = _dots(xs, contract_1(tensor, xs, xs))
+            for j, x, score in zip(batch, xs.T.copy(), final.tolist()):
+                refined[j] = x, score
         x, score = refined.pop(idx)
         if score < 0:
             x = -x
@@ -141,20 +133,9 @@ def _predicted_leaders(X, scores, alive, half_nu):
     return picks
 
 
-def _refine(tensor, x, n_iters):
-    """n_iters power steps from a vector x, or from each column of a block.
-
-    Returns the refined x and its T(x, x, x), an array of m for a block.
-    """
-    for _ in range(n_iters):
-        x, _ = power_step(tensor, x)
-    return x, (contract_scalar(tensor, x, x, x) if x.ndim == 1
-               else _dots(x, contract_1(tensor, x, x)))
-
-
 def _dots(a, b):
-    """<a, b> of two vectors, or of each pair of columns of two blocks."""
-    return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
+    """<a, b> of each pair of columns of two d x m blocks."""
+    return np.einsum("ij,ij->j", a, b)
 
 
 def learn_multiview(batch, mode, max_iters=None, nu=0.5, model=None, max_inits=None):
@@ -174,8 +155,6 @@ def learn_multiview(batch, mode, max_iters=None, nu=0.5, model=None, max_inits=N
     """
     from .models import SampleTensor3, population_third_moment
 
-    if batch.n < 1:
-        raise InvalidArgumentError("empty batch")
     if max_inits is not None and max_inits < 1:
         raise InvalidArgumentError("max_inits must be >= 1")
     if mode == "exact-tensor":
@@ -271,6 +250,9 @@ def match_and_score(estimates, ground_truth):
     if E.ndim != 2 or E.shape[1] == 0:
         raise InvalidArgumentError("estimates must be a nonempty d x m matrix")
     A = ground_truth.components
+    if E.shape[0] != A.shape[0]:
+        raise InvalidArgumentError(
+            f"estimates have d = {E.shape[0]} but the ground truth has d = {A.shape[0]}")
     C = np.abs(E.T @ A)
     rows, cols = _optimal_assign(C)
     signs_matched = np.sign(np.sum(E[:, rows] * A[:, cols], axis=0))

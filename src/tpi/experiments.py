@@ -231,7 +231,9 @@ def load_config(source, seed=None, out=None):
     raw = source if isinstance(source, dict) else _read_json(os.fspath(source), "config file")
     cfg = _validate(raw)
     if seed is not None:
-        cfg["seeds"] = dict(cfg["seeds"], base=NONNEG_INT(int(seed), "seed"))
+        # a numpy integer counts; a float or a bool raises rather than truncating
+        seed = int(seed) if isinstance(seed, np.integer) else seed
+        cfg["seeds"] = dict(cfg["seeds"], base=NONNEG_INT(seed, "seed"))
     if out is not None:
         cfg["out"] = os.fspath(out)
     return ExperimentConfig(cfg)

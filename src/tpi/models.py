@@ -87,6 +87,8 @@ class SampleBatch:
         shapes = {V.shape for V in self.views}
         if len(shapes) != 1 or self.views[0].ndim != 2:
             raise InvalidArgumentError("all views must share the same d x n shape")
+        if self.views[0].shape[1] < 1:
+            raise InvalidArgumentError("a batch needs at least one sample")
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
         if self.labels is not None and self.labels.shape != (self.views[0].shape[1],):
             raise InvalidArgumentError("labels must have length n")

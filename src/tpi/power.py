@@ -36,11 +36,12 @@ def default_max_iters(d):
 
 
 def _iteration_budget(max_iters, d):
-    """``max_iters``, or ``default_max_iters(d)`` for None; below 1 raises."""
+    """``max_iters``, or ``default_max_iters(d)`` for None; anything but an
+    integer >= 1 (a numpy integer counts, a bool does not) raises."""
     if max_iters is None:
         return default_max_iters(d)
-    if max_iters < 1:
-        raise InvalidArgumentError("max_iters must be >= 1")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise InvalidArgumentError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     return max_iters
 
 

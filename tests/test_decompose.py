@@ -87,15 +87,17 @@ def sequential_decompose(tensor, inits, n_iters, nu=0.5):
 
 
 def count_refine_steps(monkeypatch):
-    """Count the power steps decompose makes after its pool run."""
+    """Record the block shape and per-column step counts of each run_power
+    call decompose makes: the pool run first, then one per refined batch."""
     module = sys.modules["tpi.decompose"]
     calls = []
 
-    def counted(tensor, x):
-        calls.append(np.shape(x))
-        return power_step(tensor, x)
+    def counted(tensor, x0, max_iters=None):
+        trace = run_power(tensor, x0, max_iters)
+        calls.append((np.shape(x0), trace.iterations))
+        return trace
 
-    monkeypatch.setattr(module, "power_step", counted)
+    monkeypatch.setattr(module, "run_power", counted)
     return calls
 
 
@@ -115,35 +117,30 @@ def narrow_case():
     return T, [x / np.linalg.norm(x) for x in rng.standard_normal((12, 10))]
 
 
-def test_blocked_refinement_matches_sequential_loop():
-    T, inits = wide_case()
-    res = decompose(T, inits, max_iters=8)
-    E, w, sizes, selected = sequential_decompose(T, inits, 8)
-    assert res.n_components == E.shape[1] == 20
-    assert res.cluster_sizes.tolist() == sizes
-    assert res.diagnostics["selection_scores"].tolist() == selected
-    assert np.max(np.abs(res.estimates - E)) < 1e-12
-    assert np.max(np.abs(res.weights - w)) < 1e-12
-
-
-def test_narrow_batches_refine_as_the_sequential_loop_bitwise(monkeypatch):
-    T, inits = narrow_case()
-    steps = count_refine_steps(monkeypatch)
-    res = decompose(T, inits, max_iters=8)
-    E, w, sizes, selected = sequential_decompose(T, inits, 8)
-    assert set(steps) == {(10,)}  # every refine step was a vector step
-    assert np.array_equal(res.estimates, E)
-    assert np.array_equal(res.weights, w)
-    assert res.cluster_sizes.tolist() == sizes
-    assert res.diagnostics["selection_scores"].tolist() == selected
+def test_blocked_refinement_matches_sequential_loop(monkeypatch):
+    for case, leaders in ((wide_case, 20), (narrow_case, 3)):
+        T, inits = case()
+        calls = count_refine_steps(monkeypatch)
+        res = decompose(T, inits, max_iters=8)
+        E, w, sizes, selected = sequential_decompose(T, inits, 8)
+        assert res.n_components == E.shape[1] == leaders
+        # the pool run, then every leader in one block
+        assert [shape for shape, _ in calls] == [(T.dim, len(inits)), (T.dim, leaders)]
+        assert res.cluster_sizes.tolist() == sizes
+        assert res.diagnostics["selection_scores"].tolist() == selected
+        assert np.max(np.abs(res.estimates - E)) < 1e-12
+        assert np.max(np.abs(res.weights - w)) < 1e-12
 
 
 def test_predicted_leaders_refine_in_one_block(monkeypatch):
     T, inits = wide_case()
-    steps = count_refine_steps(monkeypatch)
+    calls = count_refine_steps(monkeypatch)
     res = decompose(T, inits, max_iters=8)
     assert res.n_components == 20
-    assert steps == [(30, 20)] * 8
+    assert [shape for shape, _ in calls] == [(30, 60), (30, 20)]
+    # the orthonormal leaders reach a fixed point inside the budget, so the
+    # 1e-12 match to the full-budget sequential loop shows the stop is harmless
+    assert calls[1][1].max() < 8
 
 
 def test_empty_inits_rejected():
@@ -194,6 +191,12 @@ def test_match_and_score_reversed_columns():
     rep = match_and_score(A[:, ::-1].copy(), T)
     assert list(rep.permutation) == [5, 4, 3, 2, 1, 0]
     assert rep.frobenius_error == 0.0
+
+
+def test_match_and_score_refuses_mismatched_dims():
+    T = FactoredTensor3(orthonormal(6, 4, 66), np.ones(4))
+    with pytest.raises(InvalidArgumentError, match="d = 5 .* d = 6"):
+        match_and_score(orthonormal(5, 4, 67), T)
 
 
 @pytest.mark.parametrize("m, k", [(7, 12), (12, 7), (1, 9), (9, 1), (10, 10), (30, 45)])

@@ -89,6 +89,19 @@ def test_config_hash_ignores_out_but_not_seed(tmp_path):
     assert c3.seed_base == 123
 
 
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, np.float64(2.0), "1"])
+def test_seed_override_refuses_what_is_not_an_integer(seed):
+    # int(1.7) and int(True) used to run, and hash, seed 1
+    with pytest.raises(InvalidArgumentError):
+        load_config(DYN, seed=seed)
+
+
+def test_seed_override_takes_a_numpy_integer():
+    cfg = load_config(DYN, seed=np.int64(3))
+    assert cfg.seed_base == 3
+    assert cfg.config_hash == load_config(DYN, seed=3).config_hash
+
+
 def test_multiview_recovery_needs_exactly_one_noise_parameter():
     base = {"schema": 1, "kind": "recovery", "d": 10, "k": 12,
             "source": "multiview", "n": 100}

@@ -425,3 +425,9 @@ def test_sample_batch_takes_exactly_three_views(count):
     Z = random_components(4, 6, seed=48)
     with pytest.raises(InvalidArgumentError):
         SampleBatch([Z] * count)
+
+
+def test_sample_batch_refuses_an_empty_batch():
+    # an empty batch used to reach SampleTensor3, whose contraction divided by n = 0
+    with pytest.raises(InvalidArgumentError):
+        SampleBatch([np.zeros((4, 0))] * 3)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tpi.decompose import decompose
 from tpi.errors import DegenerateIterateError, InvalidArgumentError
 from tpi.power import (
     default_max_iters,
@@ -75,6 +76,26 @@ def test_runs_refuse_a_budget_below_one():
             run_power(T, A[:, 0], max_iters=max_iters)
         with pytest.raises(InvalidArgumentError):
             run_power_with_shadow(P, A[:, 0], max_iters=max_iters)
+
+
+@pytest.mark.parametrize("max_iters", [2.5, float("nan"), "3", True, np.bool_(True), 3.0])
+def test_runs_refuse_a_budget_that_is_not_an_integer(max_iters):
+    A = random_components(5, 5, seed=2)
+    T = FactoredTensor3(A, np.ones(5))
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, A[:, 0], max_iters=max_iters)
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, A, max_iters=max_iters)
+    with pytest.raises(InvalidArgumentError):
+        decompose(T, A.T, max_iters=max_iters)
+
+
+def test_runs_take_a_numpy_integer_budget():
+    A = random_components(5, 5, seed=2)
+    T = FactoredTensor3(A, np.ones(5))
+    x0 = (A[:, 0] + A[:, 1]) / np.linalg.norm(A[:, 0] + A[:, 1])
+    assert np.array_equal(run_power(T, x0, max_iters=np.int64(3)).final_x,
+                          run_power(T, x0, max_iters=3).final_x)
 
 
 def test_degenerate_contraction_raises():
