@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_count
 # power_step and contract_scalar are not called here; they stay importable
 # from this module because perfbench's tracer looks them up on it
 from .power import _iteration_budget, power_step, run_power
@@ -155,8 +155,8 @@ def learn_multiview(batch, mode, max_iters=None, nu=0.5, model=None, max_inits=N
     """
     from .models import SampleTensor3, population_third_moment
 
-    if max_inits is not None and max_inits < 1:
-        raise InvalidArgumentError("max_inits must be >= 1")
+    if max_inits is not None:
+        _check_count(max_inits, "max_inits")
     if mode == "exact-tensor":
         if model is None:
             raise InvalidArgumentError("exact-tensor mode needs the model")

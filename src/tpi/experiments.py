@@ -668,20 +668,22 @@ def _run_sample_complexity(config, threads):
 
 
 _DKT = {**_DK, "trials": (COUNT, _REQUIRED)}
+_DK100 = {**_DK, "trials": (_type("an integer >= 100", lambda v: INT.ok(v) and v >= 100),
+                            _REQUIRED)}
 
 # check name -> (function, parameter spec).  The function takes the
 # parameters by name, plus the seed.  A parameter's default is the
 # function's own, or the spec's where the function has none; it is filled in
 # at the call and never enters the config.
 _PROBE_CHECKS = {
-    "conditioning": (check_conditioning_lemma, {**_DKT, "sigma2": (POSITIVE, 1.0)}),
+    "conditioning": (check_conditioning_lemma, {**_DK100, "sigma2": (POSITIVE, 1.0)}),
     "iterative-conditioning": (check_iterative_conditioning, {
-        **_DKT, "chain_length": (COUNT, 3), "sigma2": POSITIVE}),
+        **_DK100, "chain_length": (COUNT, 3), "sigma2": POSITIVE}),
     "fresh-randomness": (check_fresh_randomness, {
-        **_DKT, "t": (INT, _REQUIRED)}),
+        **_DKT, "t": (NONNEG_INT, _REQUIRED)}),
     "mixed-norm": (check_mixed_norm_bound, _DKT),
     "gmm-moment": (check_gmm_moment, {
-        **_DK, "sigma": (POSITIVE, _REQUIRED), "n": INT, "analytic_tol": NONNEG,
+        **_DK, "sigma": (POSITIVE, _REQUIRED), "n": NONNEG_INT, "analytic_tol": NONNEG,
         "empirical_tol": NONNEG}),
 }
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceBudgetError
+from .errors import InvalidArgumentError, ResourceBudgetError, _check_count
 from .rng import stream
 from .tensors import (
     DENSE_DIM_LIMIT, DenseTensor3, FactoredTensor3, _as_unit_columns, _dense_rows,
@@ -139,8 +139,7 @@ def sample_multiview(model, n, seed):
     C-ordered d x n array and the noise is added to it one slab of at most
     ``_SLAB`` doubles at a time, so the draw holds the batch and one slab.
     """
-    if n < 1:
-        raise InvalidArgumentError("need n >= 1")
+    _check_count(n, "n")
     rng = stream(seed, 301)
     h = rng.choice(model.rank, size=n, p=model.priors)
     views = []
@@ -158,8 +157,7 @@ def sample_gmm(gmm, n, seed):
     Built in place like a multiview view: the draw holds the samples and one
     noise slab.
     """
-    if n < 1:
-        raise InvalidArgumentError("need n >= 1")
+    _check_count(n, "n")
     rng = stream(seed, 302)
     h = rng.choice(gmm.priors.size, size=n, p=gmm.priors)
     Z = np.take(gmm.means, h, axis=1)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateIterateError, InvalidArgumentError
+from .errors import DegenerateIterateError, InvalidArgumentError, _check_count
 from .tensors import PerturbedTensor, contract_1
 
 # A run given a target halts once |<x, target>| >= 1 - _GAMMA.
@@ -37,12 +37,8 @@ def default_max_iters(d):
 
 def _iteration_budget(max_iters, d):
     """``max_iters``, or ``default_max_iters(d)`` for None; anything but an
-    integer >= 1 (a numpy integer counts, a bool does not) raises."""
-    if max_iters is None:
-        return default_max_iters(d)
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise InvalidArgumentError(f"max_iters must be an integer >= 1, got {max_iters!r}")
-    return max_iters
+    integer >= 1 raises."""
+    return default_max_iters(d) if max_iters is None else _check_count(max_iters, "max_iters")
 
 
 class IterationTrace:
@@ -83,8 +79,8 @@ class IterationTrace:
         return np.array(self.noise_component_norms, dtype=float)
 
     def final_correlation(self):
-        c = self.target_correlations[-1]
-        return abs(c) if c == c else float("nan")
+        """|last target correlation|: NaN without a target and on a block run."""
+        return abs(self.target_correlations[-1]) if self.target_correlations else float("nan")
 
     def peak_correlation(self):
         c = self.correlations
@@ -144,6 +140,8 @@ def run_power(tensor, x0, max_iters=None, target=None):
     """
     x = _check_unit(x0).copy()
     block = x.ndim == 2
+    if block and x.shape[1] == 0:
+        raise InvalidArgumentError("a block of starts needs at least one column")
     if target is not None and (block or np.shape(target) != x.shape):
         raise InvalidArgumentError("a target is one vector as long as the start; blocks take none")
     n_iters = _iteration_budget(max_iters, tensor.dim)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_count
 
 
 def stream(seed, *path):
@@ -41,14 +41,13 @@ def thread_count(explicit=None):
 
     A count that is not an integer >= 1 raises ``InvalidArgumentError``.
     """
-    raw = explicit if explicit is not None else os.environ.get("TPI_THREADS", "1")
-    try:
-        n = int(raw)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"thread count must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise InvalidArgumentError(f"thread count must be >= 1, got {n}")
-    return n
+    if explicit is None:
+        raw = os.environ.get("TPI_THREADS", "1")
+        try:
+            explicit = int(raw)
+        except ValueError:
+            raise InvalidArgumentError(f"TPI_THREADS must be an integer, got {raw!r}") from None
+    return _check_count(explicit, "thread count")
 
 
 @functools.cache

@@ -14,7 +14,7 @@ The mode-1 contraction ``T(I, v, w)`` is the workhorse: for the factored form
 
     T(I, v, w) = sum_j w_j <a_j, v> <a_j, w> a_j
 
-and for the dense form the explicit double sum over the trailing two indices.
+and for the dense form the sum over the last index, then over the middle one.
 Each representation implements it as a ``contract_1(v, w)`` method; the
 module-level ``contract_1`` checks the probes and dispatches to it.  Given
 d x m blocks V and W it returns the d x m block of T(I, v_j, w_j), one BLAS-3
@@ -23,7 +23,7 @@ product instead of m vector products.
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceBudgetError
+from .errors import InvalidArgumentError, ResourceBudgetError, _check_count
 from .rng import stream
 
 # Densifying a tensor costs d**3 floats; refuse beyond this edge length.
@@ -117,10 +117,12 @@ class DenseTensor3:
 
     It is held as ``rows``, its d^2 x d mode-1 unfolding zero-padded to a
     multiple of ``_BLOCK_ALIGN`` rows, so that the BLAS thread split of
-    ``rows @ w`` falls on whole row groups.  ``entries`` is a read-only
-    (d, d, d) view of its first d^2 rows.  The constructor copies a cube into
-    such rows; the builders in this package write into ``_dense_rows`` and
-    wrap them with ``_from_rows``, without a copy.
+    ``rows @ w`` falls on whole row groups.  ``_unfold`` takes the rows, or
+    a product of them, to the array over the first two modes; ``entries``
+    and ``contract_1`` are written once over it, for both layouts.  The
+    constructor copies a cube into such rows; the builders in this package
+    write into ``_dense_rows`` and wrap them with ``_from_rows``, without a
+    copy.
     """
 
     def __init__(self, entries):
@@ -144,25 +146,26 @@ class DenseTensor3:
     def dim(self):
         return self.rows.shape[1]
 
+    def _unfold(self, r):
+        d = self.dim
+        return r[:d * d].reshape((d, d) + r.shape[1:])
+
     @property
     def entries(self):
-        d = self.dim
-        return self.rows[:d * d].reshape(d, d, d)
+        E = self._unfold(self.rows)
+        E.flags.writeable = False
+        return E
 
     def contract_1(self, v, w):
-        d = self.dim
+        # the last mode, then the middle one: sums of d terms in a fixed
+        # order, whose bytes do not depend on the BLAS thread count (the
+        # unfolding times vec(v w^T) sums d^2 terms, and its bytes do)
+        G = self._unfold(self.rows @ w)
         if v.ndim == 1:
-            # contract the last mode, then the middle one: two sums of length
-            # d, whose bytes do not depend on the BLAS thread count, where
-            # the unfolding times vec(v w^T) sums d^2 terms and does
-            return (self.rows @ w)[:d * d].reshape(d, d) @ v
-        # the d x d^2 unfolding times the Khatri-Rao block, summed slab by
-        # slab in a fixed order: one d^2-long BLAS sum would round
-        # differently for different BLAS thread counts
-        E = self.entries
+            return G @ v
         out = np.zeros(v.shape)
-        for j in range(d):
-            out += E[:, j, :] @ (v[j] * w)
+        for j in range(self.dim):
+            out += G[:, j] * v[j]
         return out
 
     def __repr__(self):
@@ -183,8 +186,9 @@ class PackedSymmetricTensor3(DenseTensor3):
     the BLAS thread split of ``rows @ w`` falls on whole row groups.  The
     d x d table ``pair`` maps (a, b) and (b, a) to that row.
 
-    ``entries`` unpacks a read-only d^3 copy, for oracles; the contractions,
-    ``symmetrize`` and ``scale_noise_to`` work on the rows alone.
+    ``_unfold`` gathers through ``pair``.  Row (a, b) of ``rows @ w`` sums
+    row (a, b) of the full unfolding's terms in the same order, so a packed
+    tensor contracts to the bytes of ``DenseTensor3(entries)``.
     """
 
     def __init__(self, rows):
@@ -204,23 +208,8 @@ class PackedSymmetricTensor3(DenseTensor3):
         # the constructor holds C-ordered float64 rows without a copy
         return cls(rows)
 
-    @property
-    def entries(self):
-        E = np.take(self.rows, self.pair, axis=0)
-        E.flags.writeable = False
-        return E
-
-    def contract_1(self, v, w):
-        # row (a, b) of rows @ w sums the same d terms in the same order as
-        # row (a, b) of the full unfolding does, and E[a, b] = E[b, a] bit
-        # for bit, so the gather is DenseTensor3's d x d intermediate
-        if v.ndim == 1:
-            return np.take(self.rows @ w, self.pair) @ v
-        G = np.take(self.rows @ w, self.pair, axis=0)
-        out = np.zeros(v.shape)
-        for j in range(self.dim):
-            out += G[:, j] * v[j]
-        return out
+    def _unfold(self, r):
+        return np.take(r, self.pair, axis=0)
 
     def __repr__(self):
         return f"PackedSymmetricTensor3(d={self.dim})"
@@ -260,8 +249,8 @@ def contract_1(tensor, v, w):
     """Mode-1 contraction T(I, v, w) -> vector of length d.
 
     Checks the probes and calls ``tensor.contract_1(v, w)``, which every
-    representation implements: factored in O(dk), dense as the explicit
-    double sum in O(d^3), perturbed as the sum of its two parts.
+    representation implements: factored in O(dk), dense in O(d^3) (the last
+    index, then the middle one), perturbed as the sum of its two parts.
 
     With d x m blocks ``v`` and ``w`` it returns the d x m block whose column
     j is T(I, v_j, w_j).  The block runs as a C-ordered copy zero-padded to a
@@ -365,7 +354,10 @@ def _noise_tensor(d, target_norm, seed):
     draw G: one normal per orbit of ``stream(seed, 603)``, scaled in place."""
     rows = _symmetric_normal_rows(d, stream(seed, 603))
     # estimate on a read-only view, so the rows themselves stay writable
-    return _scaled(PackedSymmetricTensor3(rows.view()), rows, target_norm, seed, 4, 12)
+    E = PackedSymmetricTensor3(rows.view())
+    rows *= _scale_to(E, target_norm, seed, 4, 12)
+    rows.flags.writeable = False
+    return E
 
 
 def symmetrize(entries):
@@ -413,8 +405,8 @@ def spectral_norm_estimate(tensor, restarts=8, iters=20, seed=0):
     positively homogeneous: scaling the tensor by c scales the estimate by
     |c| because normalized trajectories are scale-invariant.
     """
-    if restarts < 1:
-        raise InvalidArgumentError("restarts must be >= 1")
+    _check_count(restarts, "restarts")
+    _check_count(iters, "iters", least=0)
     d = tensor.dim
     best = 0.0
     for r in range(restarts):
@@ -435,14 +427,13 @@ def spectral_norm_estimate(tensor, restarts=8, iters=20, seed=0):
     return best
 
 
-def _scaled(tensor, rows, target, seed, restarts, iters):
-    """``rows``, writable and holding ``tensor``'s values, scaled in place by
-    ``target`` over ``tensor``'s spectral-norm estimate, in its layout."""
+def _scale_to(tensor, target, seed, restarts, iters):
+    """The factor that takes ``tensor``'s spectral-norm estimate to ``target``;
+    a zero tensor raises."""
     current = spectral_norm_estimate(tensor, restarts=restarts, iters=iters, seed=seed)
     if current == 0.0:
         raise InvalidArgumentError("cannot rescale a zero tensor")
-    rows *= target / current
-    return tensor._from_rows(rows)
+    return target / current
 
 
 def scale_noise_to(noise, target_spectral_norm, seed=0, restarts=8, iters=20):
@@ -458,4 +449,5 @@ def scale_noise_to(noise, target_spectral_norm, seed=0, restarts=8, iters=20):
         raise InvalidArgumentError("scale_noise_to expects a DenseTensor3")
     if not 0 <= target_spectral_norm < np.inf:
         raise InvalidArgumentError("target spectral norm must be finite and >= 0")
-    return _scaled(noise, noise.rows.copy(), target_spectral_norm, seed, restarts, iters)
+    scale = _scale_to(noise, target_spectral_norm, seed, restarts, iters)
+    return noise._from_rows(noise.rows * scale)

@@ -288,6 +288,16 @@ def test_learn_multiview_rejects_nonpositive_max_inits(max_inits):
         learn_multiview(batch, "implicit-samples", max_inits=max_inits)
 
 
+def test_learn_multiview_takes_only_an_integer_max_inits():
+    # refused up front, not run as one start (True) or failed in a slice (2.5)
+    A = random_components(5, 3, seed=73)
+    batch = sample_multiview(MixtureModel(A, np.full(3, 1 / 3), noise_scale=0.1), 50, seed=73)
+    for max_inits in (2.5, True, "3"):
+        with pytest.raises(InvalidArgumentError):
+            learn_multiview(batch, "implicit-samples", max_inits=max_inits)
+    assert learn_multiview(batch, "implicit-samples", max_inits=np.int64(3)).estimates.shape[0] == 5
+
+
 def test_labels_never_consulted():
     # byte-identical results with and without labels in the batch
     d, k = 10, 5

@@ -80,6 +80,23 @@ def test_probe_check_validation():
         load_config(cfg)
 
 
+@pytest.mark.parametrize("check, bad, good", [
+    ({"check": "conditioning"}, {"trials": 99}, {"trials": 100}),
+    ({"check": "iterative-conditioning", "sigma2": 1.0}, {"trials": 50}, {"trials": 100}),
+    ({"check": "fresh-randomness", "trials": 10}, {"t": -1}, {"t": 0}),
+    ({"check": "gmm-moment", "sigma": 0.3}, {"n": -5}, {"n": 0}),
+])
+def test_probe_counts_are_refused_at_load_time(check, bad, good):
+    # at run time each is refused only when its check is reached, after the
+    # checks before it in the config have run
+    def config(counts):
+        return {"schema": 1, "kind": "probe", "checks": [{"d": 5, "k": 6, **check, **counts}]}
+
+    with pytest.raises(InvalidArgumentError):
+        load_config(config(bad))
+    load_config(config(good))
+
+
 def test_config_hash_ignores_out_but_not_seed(tmp_path):
     c1 = load_config(DYN, out=str(tmp_path / "a"))
     c2 = load_config(DYN, out=str(tmp_path / "b"))

@@ -98,6 +98,17 @@ def test_multiview_sampling_reproducible():
     assert not np.array_equal(b1.views[0], b3.views[0])
 
 
+@pytest.mark.parametrize("n", [2.5, True, "40", 0])
+def test_samplers_take_an_integer_count(n):
+    # the package's error, not numpy's TypeError
+    A = random_components(5, 3, seed=34)
+    with pytest.raises(InvalidArgumentError):
+        sample_multiview(MixtureModel(A, np.full(3, 1 / 3), noise_scale=0.1), n, seed=0)
+    with pytest.raises(InvalidArgumentError):
+        sample_gmm(SphericalGmm(A, np.full(3, 1 / 3), 0.1), n, seed=0)
+    assert sample_gmm(SphericalGmm(A, np.full(3, 1 / 3), 0.1), np.int64(4), seed=0)[0].shape == (5, 4)
+
+
 def test_population_third_moment_matches_rank_one_sum():
     A = random_components(5, 8, seed=35)
     priors = np.full(8, 0.125)

@@ -204,6 +204,15 @@ def test_block_run_checks_its_columns():
     odd = FactoredTensor3(a[:, None], np.ones(1))
     with pytest.raises(DegenerateIterateError):
         run_power(odd, np.eye(4)[:, :2], n_iters)
+    # no column at all, as decompose refuses no starts
+    with pytest.raises(InvalidArgumentError):
+        run_power(T, np.zeros((4, 0)), n_iters)
+
+
+def test_block_trace_reports_no_correlation():
+    A = orthonormal(4, 4, 7)
+    trace = run_power(FactoredTensor3(A, np.ones(4)), A[:, :2], 3)
+    assert np.isnan(trace.final_correlation()) and np.isnan(trace.peak_correlation())
 
 
 def test_block_run_refuses_a_target():

@@ -1,9 +1,11 @@
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from tpi import rng
+from tpi.errors import InvalidArgumentError
 from tpi.rng import map_in_order
 
 
@@ -83,3 +85,20 @@ def test_overlapping_pooled_maps_keep_one_blas_thread(blas_threads):
     assert not any(t.is_alive() for t in clients)
     assert len(seen) == 4 * 20 * 3 and set(seen) == {1}
     assert get() == 3
+
+
+@pytest.mark.parametrize("threads", [2.5, True, "2", 0])
+def test_thread_count_takes_only_an_integer_of_at_least_one(threads):
+    # refused, not rounded to 2 workers (2.5) or read as 1 (True)
+    with pytest.raises(InvalidArgumentError):
+        rng.thread_count(threads)
+
+
+def test_thread_count_reads_an_integer_string_from_the_environment(monkeypatch):
+    monkeypatch.setenv("TPI_THREADS", "3")
+    assert rng.thread_count() == 3
+    assert rng.thread_count(np.int64(2)) == 2
+    for raw in ("2.5", "0"):
+        monkeypatch.setenv("TPI_THREADS", raw)
+        with pytest.raises(InvalidArgumentError):
+            rng.thread_count()

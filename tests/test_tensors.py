@@ -197,6 +197,16 @@ def test_spectral_norm_against_sphere_mesh_oracle():
         assert est >= oracle * 0.999
 
 
+@pytest.mark.parametrize("counts", [{"restarts": 2.5}, {"restarts": 0}, {"restarts": True},
+                                    {"iters": 2.5}, {"iters": -1}])
+def test_spectral_norm_estimate_takes_integer_counts(counts):
+    # refused up front: 2.5 would fail in range() and iters=-1 would run no step
+    T = symmetrize(stream(33, 1).standard_normal((4, 4, 4)))
+    with pytest.raises(InvalidArgumentError):
+        spectral_norm_estimate(T, **counts)
+    assert spectral_norm_estimate(T, restarts=np.int64(2), iters=0) > 0
+
+
 def test_spectral_norm_rank_one_exact():
     # ||lam a^(x)3|| = lam for a unit vector: closed form
     a = np.zeros(8)
@@ -383,7 +393,9 @@ def _unfolded_contraction(E, v, w):
 def test_packed_vector_contraction_is_the_unfolded_one_at_any_blas_thread_count():
     # the pair rows sum each row of the unfolding as the full d^2 x d
     # product does, and their padding keeps the BLAS thread split on whole
-    # row groups, so d = 100 gives the d^3 array's bytes at 1 and 2 threads
+    # row groups, so d = 100 gives the d^3 array's bytes at 1 and 2 threads;
+    # both layouts contract a block by one formula, so the packed block is
+    # the full layout's, byte for byte
     api = tpi_rng._openblas_threads()
     if api is None:
         pytest.skip("numpy's bundled OpenBLAS is not available")
@@ -391,14 +403,19 @@ def test_packed_vector_contraction_is_the_unfolded_one_at_any_blas_thread_count(
     d = 100
     T = PackedSymmetricTensor3(_symmetric_normal_rows(d, stream(28, 1)))
     E = T.entries
+    full = DenseTensor3(E)
     rng = stream(28, 2)
     probes = [(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(4)]
+    blocks = [(rng.standard_normal((d, m)), rng.standard_normal((d, m))) for m in (1, 5, 40)]
     before = get()
     try:
         for threads in (1, 2):
             set_(threads)
             for v, w in probes:
                 assert np.array_equal(contract_1(T, v, w), _unfolded_contraction(E, v, w))
+                assert np.array_equal(contract_1(T, v, w), contract_1(full, v, w))
+            for V, W in blocks:
+                assert np.array_equal(contract_1(T, V, W), contract_1(full, V, W)), V.shape
     finally:
         set_(before)
 
