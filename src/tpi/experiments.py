@@ -678,7 +678,9 @@ _DK100 = {**_DK, "trials": (_type("an integer >= 100", lambda v: INT.ok(v) and v
 _PROBE_CHECKS = {
     "conditioning": (check_conditioning_lemma, {**_DK100, "sigma2": (POSITIVE, 1.0)}),
     "iterative-conditioning": (check_iterative_conditioning, {
-        **_DK100, "chain_length": (COUNT, 3), "sigma2": POSITIVE}),
+        **_DK100, "chain_length": (
+            _type("an integer in [1, 5]", lambda v: INT.ok(v) and 1 <= v <= 5), 3),
+        "sigma2": POSITIVE}),
     "fresh-randomness": (check_fresh_randomness, {
         **_DKT, "t": (NONNEG_INT, _REQUIRED)}),
     "mixed-norm": (check_mixed_norm_bound, _DKT),
@@ -694,7 +696,9 @@ def _probe_checks(value, where):
     _list_of(OBJECT)(value, where)
     for i, chk in enumerate(value):
         name = _choice(*_PROBE_CHECKS)(chk.get("check"), f"{where}[{i}].check")
-        _walk(chk, {"check": STR, **_PROBE_CHECKS[name][1]}, f"{where}[{i}]")
+        params = _walk(chk, {"check": STR, **_PROBE_CHECKS[name][1]}, f"{where}[{i}]")
+        if name == "fresh-randomness" and params["t"] >= params["k"]:
+            raise InvalidArgumentError(f"{where}[{i}]: need t < k")
     return value
 
 

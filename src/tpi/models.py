@@ -24,16 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensors
 from .errors import InvalidArgumentError, ResourceBudgetError, _check_count
 from .rng import stream
 from .tensors import (
     DENSE_DIM_LIMIT, DenseTensor3, FactoredTensor3, _as_unit_columns, _dense_rows,
-    _padded_rows)
+    _padded_rows, _row_blocks)
 
-# Sample chunk of a moment build: each chunk is one d^2 x c by c x d product.
-# At d = 50 its temporaries (2.3 MB) stay below the 3.7 MB that a 224-column
-# contraction over the samples holds: two 1024 x 224 temporaries and one
-# d x 224.
+# Sample chunk of a moment build: each chunk is one product of a block's
+# r x c Khatri-Rao rows by c x d samples of the third view.
 _MOMENT_CHUNK = 64
 # Sample chunk of a contraction over the samples.  It keeps each BLAS sum
 # short: OpenBLAS splits a 20000-sample vector product across its threads, so
@@ -181,23 +180,30 @@ def _sample_moment(Z1, Z2, Z3):
     d^2 x d mode-1 unfolding, zero-padded to a multiple of ``_BLOCK_ALIGN``
     rows.
 
-    The samples are summed in fixed chunks of ``_MOMENT_CHUNK``, in order.
-    A chunk is one product of its d^2 x c Khatri-Rao rows z1_i z2_j with the
-    transpose of Z3's chunk, written into the padded rows, so the result is
-    wrapped as a ``DenseTensor3`` without a copy.  The product keeps the
-    d^2 rows on the left: as Z3's chunk times the Khatri-Rao transpose, with
-    d output rows, its bytes depended on the BLAS thread count at d = 30
-    and 50.
+    It runs a block of whole i-rows at a time (``tensors._row_blocks``), and
+    over a block of r rows sums the samples in fixed chunks of
+    ``_MOMENT_CHUNK``, in order: a chunk adds the product of its r x c
+    Khatri-Rao rows z1_i z2_j, padded to a multiple of ``_BLOCK_ALIGN`` rows
+    (81 unpadded rows at d = 9 gave other bytes than 96), with the transpose
+    of Z3's chunk, so each row has the bytes of one d^2-row product.  With
+    Z3's chunk on the left, its bytes depended on the BLAS thread count.
     """
     d, n = Z1.shape
     acc, _ = _dense_rows(d)
-    kr = np.zeros((len(acc), _MOMENT_CHUNK))
-    product = np.empty(acc.shape)
-    for lo in range(0, n, _MOMENT_CHUNK):
-        s = slice(lo, min(lo + _MOMENT_CHUNK, n))
-        K = kr[:, : s.stop - lo]
-        np.multiply(Z1[:, None, s], Z2[None, :, s], out=K[: d * d].reshape(d, d, -1))
-        acc += np.matmul(K, Z3[:, s].T, out=product)
+    blocks = _row_blocks(d, max(d, _MOMENT_CHUNK))
+    kr = np.zeros((_padded_rows(blocks[0][1] * d), _MOMENT_CHUNK))
+    product = np.empty((len(kr), d))
+    for i0, i1 in blocks:
+        r = (i1 - i0) * d
+        # rows past r only pad the product (a short last block's keep stale values)
+        K, P = kr[:_padded_rows(r)], product[:_padded_rows(r)]
+        Z1_block, acc_block, P_block = Z1[i0:i1, None], acc[i0 * d:i1 * d], P[:r]
+        for lo in range(0, n, _MOMENT_CHUNK):
+            s = slice(lo, min(lo + _MOMENT_CHUNK, n))
+            np.multiply(Z1_block[..., s], Z2[None, :, s],
+                        out=K[:r, : s.stop - lo].reshape(i1 - i0, d, -1))
+            np.matmul(K[:, : s.stop - lo], Z3[:, s].T, out=P)
+            acc_block += P_block
     acc /= n
     return acc
 
@@ -252,8 +258,8 @@ class SampleTensor3:
             return self._contract_samples(v, w)
         if self._moment is None:
             self._moment = DenseTensor3._from_rows(_sample_moment(*self._views))
-        # the method itself: tensors.contract_1 has checked and padded v and w
-        return self._moment.contract_1(v, w)
+        # looked up at the call, so the moment contracts (and is traced) as dense
+        return tensors.contract_1(self._moment, v, w)
 
     def _contract_samples(self, v, w):
         if self._chunks is None:

@@ -43,6 +43,13 @@ DENSE_DIM_LIMIT = 256
 # for a rework of that kernel.
 _BLOCK_ALIGN = 32
 
+# Bytes of a dense kernel's temporary per block of whole i-rows (unfolding
+# rows i*d..i*d+d-1; see ``_row_blocks``).  At 2^18, 2^19 and 2^20 one
+# multiview-implicit call (d = 50) peaked at 62.8, 64.4 and 65.1 MB RSS,
+# against 67.5 MB with the whole product held, and a 224-column block at
+# d = 50 took 1.6, 1.0 and 1.0 ms against 1.4 ms (2 vCPU, OpenBLAS 0.3.31).
+_BLOCK_BYTES = 1 << 19
+
 
 def _as_unit_columns(M, name, tol=1e-10):
     M = np.ascontiguousarray(M, dtype=np.float64)
@@ -105,6 +112,13 @@ def _padded_rows(count):
     return -(-count // _BLOCK_ALIGN) * _BLOCK_ALIGN
 
 
+def _row_blocks(d, width):
+    """Blocks [i0, i1) of whole i-rows, d x ``width`` doubles per i, each
+    within ``_BLOCK_BYTES`` (or one i-row); the first is the largest."""
+    ib = max(1, min(d, _BLOCK_BYTES // (8 * d * width)))
+    return [(i0, min(i0 + ib, d)) for i0 in range(0, d, ib)]
+
+
 def _dense_rows(d):
     """Zeroed ``DenseTensor3`` rows at dim d, and the (d, d, d) view of their
     first d^2 rows, for a builder to write its tensor into."""
@@ -118,11 +132,11 @@ class DenseTensor3:
     It is held as ``rows``, its d^2 x d mode-1 unfolding zero-padded to a
     multiple of ``_BLOCK_ALIGN`` rows, so that the BLAS thread split of
     ``rows @ w`` falls on whole row groups.  ``_unfold`` takes the rows, or
-    a product of them, to the array over the first two modes; ``entries``
-    and ``contract_1`` are written once over it, for both layouts.  The
-    constructor copies a cube into such rows; the builders in this package
-    write into ``_dense_rows`` and wrap them with ``_from_rows``, without a
-    copy.
+    a product of them, to the array over the first two modes, or over the
+    i-rows [i0, i1) of it; ``entries`` and ``contract_1`` are written once
+    over it, for both layouts.  The constructor copies a cube into such
+    rows; the builders in this package write into ``_dense_rows`` and wrap
+    them with ``_from_rows``, without a copy.
     """
 
     def __init__(self, entries):
@@ -146,9 +160,9 @@ class DenseTensor3:
     def dim(self):
         return self.rows.shape[1]
 
-    def _unfold(self, r):
+    def _unfold(self, r, i0=0, i1=None):
         d = self.dim
-        return r[:d * d].reshape((d, d) + r.shape[1:])
+        return r[:d * d].reshape((d, d) + r.shape[1:])[i0:i1]
 
     @property
     def entries(self):
@@ -160,12 +174,18 @@ class DenseTensor3:
         # the last mode, then the middle one: sums of d terms in a fixed
         # order, whose bytes do not depend on the BLAS thread count (the
         # unfolding times vec(v w^T) sums d^2 terms, and its bytes do)
-        G = self._unfold(self.rows @ w)
         if v.ndim == 1:
-            return G @ v
-        out = np.zeros(v.shape)
-        for j in range(self.dim):
-            out += G[:, j] * v[j]
+            return self._unfold(self.rows @ w) @ v
+        # a block of i-rows at a time: a row of the product has the bytes of
+        # the whole product's, and the reduction adds the j terms in order
+        d, m = v.shape
+        blocks = _row_blocks(d, m)
+        out, buf = np.empty((d, m)), np.empty((blocks[0][1] * d, m))
+        for i0, i1 in blocks:
+            rows = self._unfold(self.rows, i0, i1).reshape(-1, d)
+            G = np.matmul(rows, w, out=buf[:len(rows)]).reshape(i1 - i0, d, m)
+            G *= v
+            np.add.reduce(G, axis=1, out=out[i0:i1])
         return out
 
     def __repr__(self):
@@ -208,8 +228,8 @@ class PackedSymmetricTensor3(DenseTensor3):
         # the constructor holds C-ordered float64 rows without a copy
         return cls(rows)
 
-    def _unfold(self, r):
-        return np.take(r, self.pair, axis=0)
+    def _unfold(self, r, i0=0, i1=None):
+        return np.take(r, self.pair[i0:i1], axis=0)
 
     def __repr__(self):
         return f"PackedSymmetricTensor3(d={self.dim})"
@@ -250,7 +270,8 @@ def contract_1(tensor, v, w):
 
     Checks the probes and calls ``tensor.contract_1(v, w)``, which every
     representation implements: factored in O(dk), dense in O(d^3) (the last
-    index, then the middle one), perturbed as the sum of its two parts.
+    index, then the middle one; a block one block of i-rows at a time, see
+    ``_BLOCK_BYTES``), perturbed as the sum of its two parts.
 
     With d x m blocks ``v`` and ``w`` it returns the d x m block whose column
     j is T(I, v_j, w_j).  The block runs as a C-ordered copy zero-padded to a

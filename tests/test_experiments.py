@@ -85,6 +85,9 @@ def test_probe_check_validation():
     ({"check": "iterative-conditioning", "sigma2": 1.0}, {"trials": 50}, {"trials": 100}),
     ({"check": "fresh-randomness", "trials": 10}, {"t": -1}, {"t": 0}),
     ({"check": "gmm-moment", "sigma": 0.3}, {"n": -5}, {"n": 0}),
+    ({"check": "iterative-conditioning", "trials": 100}, {"chain_length": 6},
+     {"chain_length": 5}),
+    ({"check": "fresh-randomness", "trials": 10}, {"t": 6}, {"t": 5}),
 ])
 def test_probe_counts_are_refused_at_load_time(check, bad, good):
     # at run time each is refused only when its check is reached, after the

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tpi import models
+from tpi import models, tensors
 from tpi import rng as tpi_rng
 from tpi.errors import InvalidArgumentError
 from tpi.models import (
@@ -23,7 +23,8 @@ from tpi.models import (
 )
 from tpi.rng import stream
 from tpi.tensors import (
-    FactoredTensor3, contract_1, densify, random_components, scale_noise_to, symmetrize)
+    DenseTensor3, FactoredTensor3, contract_1, densify, random_components, scale_noise_to,
+    symmetrize)
 
 
 def gmm_modified_moment_loops(A, lam, sigma):
@@ -225,6 +226,76 @@ def test_sample_moment_bytes_do_not_depend_on_blas_threads():
             assert built[0] == built[1], d
     finally:
         set_(before)
+
+
+def unblocked_sample_moment(Z1, Z2, Z3, chunk=64):
+    """The moment rows from one loop over 64-sample chunks, each a product of
+    all d^2 Khatri-Rao rows, padded to a multiple of 32, with Z3's chunk."""
+    d, n = Z1.shape
+    acc = np.zeros((-(-d * d // 32) * 32, d))
+    kr, product = np.zeros((len(acc), chunk)), np.empty(acc.shape)
+    for lo in range(0, n, chunk):
+        s = slice(lo, min(lo + chunk, n))
+        K = kr[:, : s.stop - lo]
+        np.multiply(Z1[:, None, s], Z2[None, :, s], out=K[: d * d].reshape(d, d, -1))
+        acc += np.matmul(K, Z3[:, s].T, out=product)
+    acc /= n
+    return acc
+
+
+@pytest.mark.parametrize("d", [6, 9, 15, 45, 46, 47, 50, 51, 64, 101, 150])
+def test_sample_moment_is_the_unblocked_one_bitwise(d):
+    # built a block of i-rows at a time, each row keeps the bytes of the
+    # unblocked build's, at 1 and 2 BLAS threads; n = 40 is one short chunk
+    api = tpi_rng._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    get, set_ = api
+    rng = stream(d, 68)
+    batches = [[rng.standard_normal((d, n)) for _ in range(3)] for n in (40, 1000, 2517)]
+    before = get()
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            for views in batches:
+                built = models._sample_moment(*views)
+                oracle = unblocked_sample_moment(*views)
+                assert built.tobytes() == oracle.tobytes(), (views[0].shape, threads)
+    finally:
+        set_(before)
+
+
+def test_sample_moment_holds_no_d_squared_temporary():
+    # the unblocked build's chunk temporaries at d = 100 are 13.1 MB
+    rng = stream(100, 69)
+    views = [rng.standard_normal((100, 10000)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        rows = models._sample_moment(*views)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes + (4 << 20), peak
+
+
+def test_sample_tensor_contracts_its_moment_through_the_module_function(monkeypatch):
+    # so that the moment's contractions count as dense ones where
+    # tensors.contract_1 is wrapped
+    seen = []
+    original = tensors.contract_1
+
+    def spy(tensor, v, w):
+        seen.append(type(tensor))
+        return original(tensor, v, w)
+
+    d = 6
+    rng = stream(d, 70)
+    implicit = SampleTensor3(SampleBatch([rng.standard_normal((d, 40)) for _ in range(3)]))
+    v, w = rng.standard_normal((d, 5)), rng.standard_normal((d, 5))
+    before = contract_1(implicit, v, w)
+    monkeypatch.setattr(tensors, "contract_1", spy)
+    assert contract_1(implicit, v, w).tobytes() == before.tobytes()
+    assert seen == [DenseTensor3]
 
 
 @pytest.mark.parametrize("d", [6, 15, 30])

@@ -420,6 +420,59 @@ def test_packed_vector_contraction_is_the_unfolded_one_at_any_blas_thread_count(
         set_(before)
 
 
+def whole_product_block_contraction(T, v, w):
+    """A block contraction from the whole padded product ``rows @ w``,
+    summed over the middle mode by a loop over j."""
+    P = T.rows @ w
+    d = T.dim
+    # the product row of (i, j)
+    row = T.pair if isinstance(T, PackedSymmetricTensor3) else np.arange(d * d).reshape(d, d)
+    out = np.zeros(v.shape)
+    for j in range(d):
+        out += P[row[:, j]] * v[j]
+    return out
+
+
+@pytest.mark.parametrize("d", [5, 9, 15, 31, 46, 47, 51, 101, 129])
+def test_block_contraction_is_the_whole_product_one_bitwise(d):
+    # one block of i-rows at a time: each row of the product, and each sum
+    # over j, has the bytes of the whole product's, at 1 and 2 BLAS threads
+    api = tpi_rng._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    get, set_ = api
+    packed = PackedSymmetricTensor3(_symmetric_normal_rows(d, stream(33, d)))
+    full = DenseTensor3(packed.entries)
+    rng = stream(33, d, 1)
+    probes = [(rng.standard_normal((d, m)), rng.standard_normal((d, m))) for m in (32, 224, 1024)]
+    before = get()
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            for T in (full, packed):
+                for v, w in probes:
+                    out = contract_1(T, v, w)
+                    oracle = whole_product_block_contraction(T, v, w)
+                    assert out.tobytes() == oracle.tobytes(), (T, v.shape, threads)
+    finally:
+        set_(before)
+
+
+def test_block_contraction_holds_no_whole_product():
+    # the whole padded product at d = 100, m = 608 is 48.7 MB
+    d, m = 100, 608
+    rng = stream(34, 1)
+    T = DenseTensor3(rng.standard_normal((d, d, d)))
+    v, w = rng.standard_normal((d, m)), rng.standard_normal((d, m))
+    tracemalloc.start()
+    try:
+        contract_1(T, v, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
 @pytest.mark.parametrize("d", [1, 9, 31, 150])
 def test_packed_vector_contraction_agrees_with_the_unfolded_one(d):
     T = PackedSymmetricTensor3(_symmetric_normal_rows(d, stream(29, d)))
