@@ -8,8 +8,12 @@ results are byte-identical for any worker count.  All acceptance thresholds
 live in the config's ``accept`` block: a run "passes" exactly when every
 declared threshold holds.
 
-Each kind's schema is one spec in ``_KINDS``, walked by ``_walk`` to check a
-config and fill its defaults; only cross-field rules are code.
+A kind is one entry in ``_KINDS``: a spec, walked by ``_walk`` to check a
+config and fill its defaults (only cross-field rules are code); a seed
+function, which runs one seed and returns its metrics and its table.csv and
+traces.jsonl rows; and a summary, which reduces the per-seed metrics to the
+aggregates, the verdict and the table header.  ``run_experiment`` maps the
+seed function over the seeds and writes the rows in seed order.
 """
 
 import hashlib
@@ -155,9 +159,11 @@ def _walk(raw, spec, where=""):
     return out
 
 
-# fields: the kind's spec, ``accept`` among them; runner: runs a config of the
-# kind; rules: cross-field (test, message) pairs
-_Kind = namedtuple("_Kind", "fields runner rules", defaults=((),))
+# fields: the kind's spec, ``accept`` among them; seed(cfg, seed): one seed's
+# metrics, table.csv rows and traces.jsonl rows; summary(cfg, per_seed): the
+# aggregates, the verdict and the table.csv header; rules: cross-field
+# (test, message) pairs
+_Kind = namedtuple("_Kind", "fields seed summary rules", defaults=((),))
 
 _SCHEMA = _type(str(SCHEMA_VERSION), lambda v: INT.ok(v) and v == SCHEMA_VERSION)
 _COMMON = {"schema": (_SCHEMA, _REQUIRED), "kind": (STR, _REQUIRED), "out": STR,
@@ -271,12 +277,6 @@ class RunReport:
         return doc
 
 
-# What a runner hands back: per-seed metrics, aggregates, the verdict, and the
-# rows of table.csv and traces.jsonl.
-_Outcome = namedtuple("_Outcome", "per_seed aggregates passed header rows traces",
-                      defaults=((),))
-
-
 def _strict_json(value):
     """Replace NaN and +-inf, which JSON cannot hold, by None (``null``)."""
     if isinstance(value, dict):
@@ -329,8 +329,6 @@ def _component_tensor(cfg, seed):
     per seed, ``weights`` a constant or a uniform [lo, hi] draw."""
     d, k = cfg["d"], cfg["k"]
     if cfg["components"] == "orthonormal":
-        if k > d:
-            raise InvalidArgumentError("orthonormal components need k <= d")
         comps = np.linalg.qr(stream(seed, 610).standard_normal((d, k)))[0]
     else:
         comps = random_components(d, k, seed=seed)
@@ -375,9 +373,8 @@ def _tuned_init(a1, rng, lo, hi):
     return c * a1 + math.sqrt(1.0 - c * c) * g, c
 
 
-def _dynamics_seed(config, seed_value, factor):
+def _dynamics_run(cfg, seed_value, factor):
     """One run tracked against a_1: its metrics and its traces.jsonl rows."""
-    cfg = config.data
     d, k = cfg["d"], cfg["k"]
     comps = random_components(d, k, seed=seed_value)
     tensor = FactoredTensor3(comps, np.ones(k))
@@ -411,6 +408,21 @@ def _dynamics_seed(config, seed_value, factor):
                      for t, (corr, unnorm, xi) in enumerate(steps)]
 
 
+def _dynamics_seed(cfg, seed_value):
+    """A seed's run at each noise factor; a dynamics config has the one factor
+    0.  Its table.csv rows carry the factor and xi when some factor is not 0."""
+    factors = cfg.get("noise_norm_factors", [0.0])
+    runs = [_dynamics_run(cfg, seed_value, factor) for factor in factors]
+    traces = [step for _, steps in runs for step in steps]
+    columns = (["noise_norm_factor", "seed", "iteration", "correlation", "noise_norm"]
+               if any(factors) else ["seed", "iteration", "correlation"])
+    rows = [[step[name] for name in columns] for step in traces]
+    if cfg["kind"] == "dynamics":
+        return runs[0][0], rows, traces
+    return ({"seed": seed_value, "factors": {repr(f): m for f, (m, _) in zip(factors, runs)}},
+            rows, traces)
+
+
 def _eval_dynamics_accept(acc, per_seed):
     checks = {}
     if "success_correlation" in acc or "success_rate" in acc:
@@ -442,35 +454,10 @@ def _eval_dynamics_accept(acc, per_seed):
     return checks, ok
 
 
-def _run_dynamics(config, threads):
-    cfg = config.data
-    base, count = config.seed_base, config.seed_count
+def _dynamics_summary(cfg, per_seed):
+    factors = cfg.get("noise_norm_factors", [0.0])
     sweep = cfg["kind"] == "noise-sweep"
-    factors = cfg["noise_norm_factors"] if sweep else [0.0]
-
-    def worker(i):
-        return [_dynamics_seed(config, base + i, factor) for factor in factors]
-
-    results = _map_seeds(worker, count, threads)
-    per_seed, csv_rows, trace_rows = [], [], []
-    noisy = any(f for f in factors)
-    for i, seed_runs in enumerate(results):
-        if sweep:
-            per_seed.append({
-                "seed": base + i,
-                "factors": {repr(f): m for f, (m, _) in zip(factors, seed_runs)},
-            })
-        else:
-            per_seed.append(seed_runs[0][0])
-        for factor, (_, rows) in zip(factors, seed_runs):
-            for step in rows:
-                row = [step["seed"], step["iteration"], step["correlation"]]
-                csv_rows.append([factor] + row + [step["noise_norm"]] if noisy else row)
-            trace_rows.extend(rows)
-    header = (["factor", "seed", "iteration", "correlation", "xi_norm"]
-              if noisy else ["seed", "iteration", "correlation"])
-
-    flat = [m for runs in results for (m, _) in runs]
+    flat = [m for entry in per_seed for m in entry["factors"].values()] if sweep else per_seed
     acc = cfg.get("accept", {})
     aggregates = {
         "final_correlation": _median_iqr([m["final_correlation"] for m in flat]),
@@ -481,16 +468,17 @@ def _run_dynamics(config, threads):
     if sweep:
         by_factor = {}
         for factor in factors:
-            subset = [m for m in flat
-                      if m.get("noise_norm_factor", 0.0) == factor]
-            checks, ok = _eval_dynamics_accept(acc, subset)
+            checks, ok = _eval_dynamics_accept(
+                acc, [entry["factors"][repr(factor)] for entry in per_seed])
             by_factor[repr(factor)] = dict(checks, passed=ok)
         aggregates["by_factor"] = by_factor
         passed = all(v["passed"] for v in by_factor.values())
     else:
         checks, passed = _eval_dynamics_accept(acc, flat)
         aggregates.update(checks)
-    return _Outcome(per_seed, aggregates, passed, header, csv_rows, trace_rows)
+    header = (["factor", "seed", "iteration", "correlation", "xi_norm"]
+              if any(factors) else ["seed", "iteration", "correlation"])
+    return aggregates, passed, header
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +511,7 @@ def _decompose_options(cfg):
     return {**cfg.get("power", {}), **cfg.get("cluster", {})}
 
 
-def _recovery_seed_tensor(config, seed_value):
-    cfg = config.data
+def _tensor_recovery(cfg, seed_value):
     tensor = _component_tensor(cfg, seed_value)
     rng = stream(seed_value, 612)
     if cfg["inits"] == "columns+noise":
@@ -536,12 +523,10 @@ def _recovery_seed_tensor(config, seed_value):
     errs = [abs(result.weights[i] - tensor.weights[j])
             for i, j in enumerate(report.permutation) if j >= 0]
     metrics["weight_max_err"] = float(max(errs)) if errs else float("nan")
-    metrics["seed"] = seed_value
     return metrics
 
 
-def _recovery_seed_multiview(config, seed_value):
-    cfg = config.data
+def _multiview_recovery(cfg, seed_value):
     if "zeta" in cfg:
         zeta = float(cfg["zeta"])
     else:
@@ -555,7 +540,6 @@ def _recovery_seed_multiview(config, seed_value):
     report, metrics = _match_metrics(result, truth, cfg.get("accept", {}))
     snr_rep = snr(batch, model)
     metrics.update({
-        "seed": seed_value,
         "zeta": zeta,
         "snr_empirical": snr_rep.empirical,
         "snr_theoretical": snr_rep.theoretical,
@@ -583,30 +567,30 @@ def _eval_recovery_accept(acc, metrics, k):
     return bool(ok)
 
 
-def _run_recovery(config, threads):
-    cfg = config.data
-    base, count = config.seed_base, config.seed_count
-    worker = (_recovery_seed_multiview if cfg["source"] == "multiview"
-              else _recovery_seed_tensor)
+_RECOVERY_HEADER = ["seed", "n_components", "recovered_fraction", "min_matched_correlation",
+                    "frobenius_error", "weight_max_err"]
 
-    per_seed = _map_seeds(lambda i: worker(config, base + i), count, threads)
+
+def _recovery_seed(cfg, seed_value):
+    run = _multiview_recovery if cfg["source"] == "multiview" else _tensor_recovery
+    metrics = dict(run(cfg, seed_value), seed=seed_value)
+    return metrics, [[metrics[name] for name in _RECOVERY_HEADER]], []
+
+
+def _recovery_summary(cfg, per_seed):
     acc = cfg.get("accept", {})
     seed_ok = [_eval_recovery_accept(acc, m, cfg["k"]) for m in per_seed]
     aggregates = {name: _median_iqr([m[name] for m in per_seed])
                   for name in ("recovered_fraction", "frobenius_error", "min_matched_correlation")}
     aggregates["success_rate"] = float(np.mean(seed_ok))
-    header = ["seed", "n_components", "recovered_fraction",
-              "min_matched_correlation", "frobenius_error", "weight_max_err"]
-    csv_rows = [[m[name] for name in header] for m in per_seed]
-    return _Outcome(per_seed, aggregates, all(seed_ok), header, csv_rows)
+    return aggregates, all(seed_ok), _RECOVERY_HEADER
 
 
 # ---------------------------------------------------------------------------
 # sample complexity
 
 
-def _sample_complexity_seed(config, seed_value):
-    cfg = config.data
+def _sample_complexity_seed(cfg, seed_value):
     model, truth = _mixture(cfg, seed_value, float(cfg["zeta"]))
     exact = population_third_moment(model)
     exact_entries = densify(exact).entries
@@ -631,14 +615,10 @@ def _sample_complexity_seed(config, seed_value):
         metrics["decomposition_frobenius_empirical"] = float(frob_emp)
         metrics["decomposition_ratio"] = float(frob_emp / frob_exact) \
             if frob_exact > 0 else float("inf")
-    return metrics
+    return metrics, [[seed_value, n, errors[n]] for n in cfg["sample_sizes"]], []
 
 
-def _run_sample_complexity(config, threads):
-    cfg = config.data
-    base, count = config.seed_base, config.seed_count
-    per_seed = _map_seeds(lambda i: _sample_complexity_seed(config, base + i),
-                          count, threads)
+def _sample_complexity_summary(cfg, per_seed):
     acc = cfg.get("accept", {})
     n1, n2 = acc.get("ratio_pair", (cfg["sample_sizes"][0],
                                     cfg["sample_sizes"][-1]))
@@ -656,11 +636,8 @@ def _run_sample_complexity(config, threads):
             med = aggregates["decomposition_ratio"]["median"]
             aggregates["decomposition_ok"] = bool(
                 med <= acc["decomposition_factor"])
-    header = ["seed", "n", "frobenius_error"]
-    csv_rows = [[m["seed"], n, m["frobenius_errors"][n]]
-                for m in per_seed for n in cfg["sample_sizes"]]
     passed = all(v for name, v in aggregates.items() if name.endswith("_ok"))
-    return _Outcome(per_seed, aggregates, passed, header, csv_rows)
+    return aggregates, passed, ["seed", "n", "frobenius_error"]
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +676,8 @@ def _probe_checks(value, where):
         params = _walk(chk, {"check": STR, **_PROBE_CHECKS[name][1]}, f"{where}[{i}]")
         if name == "fresh-randomness" and params["t"] >= params["k"]:
             raise InvalidArgumentError(f"{where}[{i}]: need t < k")
+        if name == "mixed-norm" and not 2 <= params["d"] < params["k"]:
+            raise InvalidArgumentError(f"{where}[{i}]: need 2 <= d < k")
     return value
 
 
@@ -708,21 +687,17 @@ def _run_check(chk, seed):
     return fn(seed=seed, **kwargs)
 
 
-def _run_probe(config, threads):
-    cfg = config.data
-    base, count = config.seed_base, config.seed_count
-    names = [chk["check"] for chk in cfg["checks"]]
+def _probe_seed(cfg, seed_value):
+    checks = [_run_check(chk, seed_value) for chk in cfg["checks"]]
+    rows = [[seed_value, idx, chk["check"], bool(result.get("passed", False))]
+            for idx, (chk, result) in enumerate(zip(cfg["checks"], checks))]
+    return {"seed": seed_value, "checks": checks}, rows, []
 
-    def worker(i):
-        return {"seed": base + i, "checks": [_run_check(chk, base + i) for chk in cfg["checks"]]}
 
-    per_seed = _map_seeds(worker, count, threads)
-    passed = all(chk.get("passed", False)
-                 for entry in per_seed for chk in entry["checks"])
-    csv_rows = [[entry["seed"], idx, names[idx], bool(chk.get("passed", False))]
-                for entry in per_seed for idx, chk in enumerate(entry["checks"])]
-    return _Outcome(per_seed, {"checks": names, "all_passed": passed}, passed,
-                    ["seed", "index", "check", "passed"], csv_rows)
+def _probe_summary(cfg, per_seed):
+    passed = all(chk.get("passed", False) for entry in per_seed for chk in entry["checks"])
+    return ({"checks": [chk["check"] for chk in cfg["checks"]], "all_passed": passed}, passed,
+            ["seed", "index", "check", "passed"])
 
 
 # ---------------------------------------------------------------------------
@@ -770,13 +745,18 @@ _KINDS = {
                 "accept": _RECOVERY_ACCEPT,
             }), "tensor"),
         **_DECOMPOSE,
-    }, _run_recovery, (
+    }, _recovery_seed, _recovery_summary, (
         (lambda cfg: cfg["source"] == "tensor" or ("zeta" in cfg) != ("snr_target" in cfg),
          "multiview recovery needs exactly one of zeta, snr_target"),
+        # k orthonormal columns need k <= d, and a factored tensor nonzero weights
+        (lambda cfg: cfg["source"] == "multiview" or (
+            (cfg["components"] == "unit-sphere" or cfg["k"] <= cfg["d"])
+            and np.any(cfg["weights"])),
+         "tensor recovery needs k <= d with orthonormal components, and a nonzero weight"),
     )),
-    "dynamics": _Kind(_DYNAMICS, _run_dynamics, _DYNAMICS_RULES),
+    "dynamics": _Kind(_DYNAMICS, _dynamics_seed, _dynamics_summary, _DYNAMICS_RULES),
     "noise-sweep": _Kind({**_DYNAMICS, "noise_norm_factors": (_list_of(NONNEG), _REQUIRED)},
-                         _run_dynamics, _DYNAMICS_RULES + (
+                         _dynamics_seed, _dynamics_summary, _DYNAMICS_RULES + (
         # a repeated factor would run every seed twice and write its rows twice
         (lambda cfg: len(set(cfg["noise_norm_factors"])) == len(cfg["noise_norm_factors"]),
          "noise_norm_factors must not repeat a value"),
@@ -789,14 +769,14 @@ _KINDS = {
         **_DECOMPOSE,
         "accept": dict(ratio_range=_list_of(NUM, 2), ratio_pair=_list_of(INT, 2),
                        decomposition_factor=NUM),
-    }, _run_sample_complexity, (
+    }, _sample_complexity_seed, _sample_complexity_summary, (
         (lambda cfg: all(n in cfg["sample_sizes"]
                          for n in cfg.get("accept", {}).get("ratio_pair", ())),
          "accept.ratio_pair must be two of the sample_sizes"),
         (lambda cfg: "compare_decomposition" in cfg or not {"power", "cluster"} & set(cfg),
          "power and cluster only apply with compare_decomposition"),
     )),
-    "probe": _Kind({"checks": (_probe_checks, _REQUIRED)}, _run_probe),
+    "probe": _Kind({"checks": (_probe_checks, _REQUIRED)}, _probe_seed, _probe_summary),
 }
 
 
@@ -815,8 +795,12 @@ def run_experiment(config, threads=None):
     if isinstance(config, (str, os.PathLike, dict)):
         config = load_config(config)
     cfg = config.data
+    kind, base = _KINDS[cfg["kind"]], config.seed_base
     start = time.monotonic()
-    outcome = _KINDS[cfg["kind"]].runner(config, threads)
+    # per seed, in seed order: its metrics, table.csv rows and traces.jsonl rows
+    seeds = _map_seeds(lambda i: kind.seed(cfg, base + i), config.seed_count, threads)
+    per_seed = [metrics for metrics, _, _ in seeds]
+    aggregates, passed, header = kind.summary(cfg, per_seed)
     wall = time.monotonic() - start
 
     report = RunReport(
@@ -824,9 +808,9 @@ def run_experiment(config, threads=None):
         config_hash=config.config_hash,
         seed_base=config.seed_base,
         seed_count=config.seed_count,
-        per_seed=outcome.per_seed,
-        aggregates=outcome.aggregates,
-        passed=bool(outcome.passed),
+        per_seed=per_seed,
+        aggregates=aggregates,
+        passed=bool(passed),
         regime_violation="d" in cfg and cfg["k"] >= cfg["d"] ** 1.5,
         wall_clock_s=wall,
         out_dir=config.out,
@@ -835,13 +819,14 @@ def run_experiment(config, threads=None):
         os.makedirs(config.out, exist_ok=True)
         _write_lines(os.path.join(config.out, "config.json"), [config.canonical_json()])
         _write_lines(os.path.join(config.out, "table.csv"), itertools.chain(
-            [f"# config_hash={config.config_hash}", ",".join(outcome.header)],
-            (",".join(_fmt_cell(cell) for cell in row) for row in outcome.rows)))
+            [f"# config_hash={config.config_hash}", ",".join(header)],
+            (",".join(map(_fmt_cell, row)) for _, rows, _ in seeds for row in rows)))
         report.artifacts = {"config": "config.json", "table": "table.csv",
                             "report": "report.json"}
-        if outcome.traces:
+        traces = [row for _, _, rows in seeds for row in rows]
+        if traces:
             _write_lines(os.path.join(config.out, "traces.jsonl"),
-                         (json.dumps(row, sort_keys=True) for row in outcome.traces))
+                         (json.dumps(row, sort_keys=True) for row in traces))
             report.artifacts["traces"] = "traces.jsonl"
         report.to_json(os.path.join(config.out, "report.json"))
     return report
@@ -854,10 +839,8 @@ def load_run(run_dir):
     report = _read_json(rep_path, "stored run file")
     if not isinstance(report, dict) or not isinstance(report.get("aggregates"), dict):
         raise InvalidArgumentError(f"{rep_path} is not a JSON object with an aggregates object")
-    actual = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-    if actual != report.get("config_hash"):
+    # a stored config.json never holds ``out``, so it hashes as it was run
+    if not isinstance(cfg, dict) or ExperimentConfig(cfg).config_hash != report.get("config_hash"):
         raise InvalidArgumentError(
             "config hash mismatch: stored config does not match the report")
     return cfg, report

@@ -531,6 +531,9 @@ def check_mixed_norm_bound(d, k, trials, seed):
     and the verdict ``passed``.
     """
     d, k = int(d), int(k)
+    if d < 2:
+        # the envelope 10 ln(d) is 0 at d = 1, and fitted_c divides by it
+        raise InvalidArgumentError("need d >= 2")
     if k <= d:
         raise InvalidArgumentError("this bound targets the k > d regime")
     if trials < 1:

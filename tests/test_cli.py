@@ -142,17 +142,19 @@ def test_negative_seed_flag_exits_two(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda text: "{not json", id="not-json"),
-    pytest.param(lambda text: "[1, 2]", id="not-object"),
+@pytest.mark.parametrize("name, edit", [
+    pytest.param("report.json", lambda text: "{not json", id="not-json"),
+    pytest.param("report.json", lambda text: "[1, 2]", id="not-object"),
     # the config hash still matches, so only the missing table can stop it
-    pytest.param(lambda text: json.dumps(dict(json.loads(text), aggregates=None)),
+    pytest.param("report.json", lambda text: json.dumps(dict(json.loads(text), aggregates=None)),
                  id="no-aggregates"),
+    # only a JSON object is hashed as a config
+    pytest.param("config.json", lambda text: "[1, 2]", id="config-not-object"),
 ])
-def test_report_on_unreadable_report_exits_two(tmp_path, capsys, edit):
+def test_report_on_unreadable_report_exits_two(tmp_path, capsys, name, edit):
     cfg = _write(tmp_path, "rec.json", REC)
     cli(["decompose", "--config", cfg, "--out", str(tmp_path / "run")])
-    path = tmp_path / "run" / "report.json"
+    path = tmp_path / "run" / name
     path.write_text(edit(path.read_text()))
     capsys.readouterr()
     assert cli(["report", str(tmp_path / "run")]) == 2
@@ -190,6 +192,17 @@ def test_one_dimensional_dynamics_exits_two(tmp_path, capsys):
     rc = cli(["dynamics", "--config", cfg, "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "d >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_one_dimensional_mixed_norm_probe_exits_two(tmp_path, capsys):
+    # the check's envelope 10 ln(d) is 0 at d = 1; a run used to end in a
+    # ZeroDivisionError, and exit 1 as if its thresholds had failed
+    cfg = _write(tmp_path, "d1.json", {"schema": 1, "kind": "probe", "checks": [
+        {"check": "mixed-norm", "d": 1, "k": 3, "trials": 2}]})
+    rc = cli(["probe", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "need 2 <= d < k" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

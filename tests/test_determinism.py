@@ -13,7 +13,9 @@ time.  A second sweep at d=101, where the d^2 rows of a full unfolding do
 not split into whole row groups, runs at both BLAS thread counts too.  The
 sample-complexity run has accept6's shape with a smaller decomposition; its
 two workers contract their sample tensors concurrently.  The probes are
-accept8's, whose Monte Carlo sums are long matrix products.
+accept8's, whose Monte Carlo sums are long matrix products.  One small
+config of each kind runs at one and two workers, so a kind added to
+``_KINDS`` without a case fails here.
 """
 
 import json
@@ -22,7 +24,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tpi.experiments import load_config, run_experiment
+import pytest
+
+from tpi.experiments import _KINDS, load_config, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -60,6 +64,44 @@ def _artifacts(out):
     report.pop("wall_clock_s")
     report.pop("out_dir")
     return files, report
+
+
+# one small config of each kind, and of each recovery source; run on three
+# seeds, so two workers split them unevenly
+EVERY_KIND = {
+    "dynamics": {"kind": "dynamics", "d": 10, "k": 12, "init_correlation": [0.3, 0.4],
+                 "power": {"max_iters": 6}, "accept": {"success_rate": 0.5}},
+    # factor 0 runs without noise, next to the noisy runs of the same seed
+    "noise-sweep": {"kind": "noise-sweep", "d": 10, "k": 12, "init_correlation": [0.3, 0.4],
+                    "noise_norm_factors": [0.0, 0.05], "power": {"max_iters": 6},
+                    "accept": {"final_correlation": 0.5, "xi_max": 1.0}},
+    "tensor-recovery": {"kind": "recovery", "d": 6, "k": 8, "weights": [1.0, 2.0],
+                        "inits": 12, "accept": {"recovered_fraction": 0.5}},
+    "multiview-recovery": {"kind": "recovery", "d": 6, "k": 8, "source": "multiview",
+                           "zeta": 0.05, "n": 300, "inits": 10},
+    "sample-complexity": {"kind": "sample-complexity", "d": 6, "k": 8, "zeta": 0.05,
+                          "sample_sizes": [100, 400],
+                          "compare_decomposition": {"n": 1000, "inits": 10}},
+    "probe": {"kind": "probe", "checks": [
+        {"check": "mixed-norm", "d": 5, "k": 6, "trials": 4},
+        {"check": "fresh-randomness", "d": 6, "k": 8, "t": 2, "trials": 4}]},
+}
+
+
+def test_every_kind_has_a_worker_count_case():
+    assert {doc["kind"] for doc in EVERY_KIND.values()} == set(_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_KIND))
+def test_every_kind_identical_at_one_and_two_workers(tmp_path, name):
+    doc = dict(EVERY_KIND[name], schema=1, seeds={"count": 3, "base": 0})
+    for threads in (1, 2):
+        run_experiment(load_config(doc, out=str(tmp_path / f"w{threads}")), threads=threads)
+    files, report = _artifacts(tmp_path / "w1")
+    traced = doc["kind"] in ("dynamics", "noise-sweep")
+    assert sorted(files) == ["config.json", "table.csv"] + ["traces.jsonl"] * traced
+    assert len(report["per_seed"]) == 3
+    assert _artifacts(tmp_path / "w2") == (files, report)
 
 
 def test_multiview_artifacts_identical_across_worker_counts(tmp_path):

@@ -88,6 +88,8 @@ def test_probe_check_validation():
     ({"check": "iterative-conditioning", "trials": 100}, {"chain_length": 6},
      {"chain_length": 5}),
     ({"check": "fresh-randomness", "trials": 10}, {"t": 6}, {"t": 5}),
+    ({"check": "mixed-norm", "trials": 2}, {"d": 1, "k": 3}, {"d": 2, "k": 3}),
+    ({"check": "mixed-norm", "trials": 2}, {"k": 5}, {"k": 6}),
 ])
 def test_probe_counts_are_refused_at_load_time(check, bad, good):
     # at run time each is refused only when its check is reached, after the
@@ -131,6 +133,18 @@ def test_multiview_recovery_needs_exactly_one_noise_parameter():
         load_config(dict(base, zeta=0.1, snr_target=2.0))  # both
     cfg = load_config(dict(base, zeta=0.1))
     assert cfg.data["tensor_mode"] == "implicit-samples"
+
+
+@pytest.mark.parametrize("bad, good", [
+    ({"components": "orthonormal", "k": 7}, {"components": "orthonormal", "k": 6}),
+    ({"weights": 0}, {"weights": -1}),
+    ({"weights": [0, 0]}, {"weights": [0, 1]}),
+])
+def test_tensor_recovery_refuses_at_load_time_what_its_first_seed_would(bad, good):
+    base = {"schema": 1, "kind": "recovery", "d": 6, "k": 8}
+    with pytest.raises(InvalidArgumentError, match="tensor recovery needs"):
+        load_config(dict(base, **bad))
+    load_config(dict(base, **good))
 
 
 def test_dynamics_run_report_shape(tmp_path):

@@ -230,3 +230,9 @@ def test_mixed_norm_bound_frozen_seed():
 def test_mixed_norm_needs_overcomplete():
     with pytest.raises(InvalidArgumentError):
         check_mixed_norm_bound(50, 50, 64, seed=0)
+
+
+def test_mixed_norm_needs_two_dimensions():
+    # the envelope 10 ln(d) is 0 at d = 1, and fitted_c divided by it
+    with pytest.raises(InvalidArgumentError, match="d >= 2"):
+        check_mixed_norm_bound(1, 3, 2, seed=0)
